@@ -19,7 +19,6 @@ from .model import (
     BestResponse,
     Dataset,
     DimensionMismatch,
-    Hyper,
     LossSpec,
     NonFiniteIterate,
     SplitDegenerate,
@@ -61,7 +60,6 @@ __all__ = [
     "BestResponse",
     "Dataset",
     "DimensionMismatch",
-    "Hyper",
     "InnerSolveFailed",
     "LossSpec",
     "MyhpoConfig",

@@ -1,10 +1,12 @@
 """Benchmark harness: experiment configs, budgeted runs, summaries, curves.
 
-An experiment is described by a flat key-value text file (``key = value``
-per line, ``#`` comments). It names one problem, a shared gradient budget,
-a repetition count, and any number of solver blocks; every parameter has a
-documented default that is echoed into the resolved-config log and into
-each trace header, so no run depends on a hidden value.
+An experiment is described by a flat key-value text file: ``key = value``
+per line, where ``#`` opens a comment at the start of a line or after
+whitespace (so ``path = data#1.csv`` keeps its ``#``). It names one
+problem, a shared gradient budget, a repetition count, and any number of
+solver blocks; every parameter has a documented default that is echoed
+into the resolved-config log and into each trace header, so no run
+depends on a hidden value.
 
 Schema (defaults in parentheses):
 
@@ -26,13 +28,16 @@ Schema (defaults in parentheses):
     output_dir              (bench_out)
     solver[i].name          sho | myhpo_c | myhpo_bt | myhpo_full | random | grid
     solver[i].label         column label                     (name)
-    solver[i].<param>       see SOLVER_DEFAULTS below
+    solver[i].<param>       a field of the solver's config class, with its
+                            default (see SOLVERS below); bi-level solvers
+                            also take lambda0 (-1.0)
 
-Bi-level solvers stop before exceeding the budget. Search blocks train
-each of their ``n_s`` candidates for ``n_t`` steps with ``n_t`` defaulting
-to ``budget_n_g // 2`` (the bi-level outer-iteration count), so ``n_s = 2``
-spends exactly the shared budget and larger ``n_s`` deliberately
-oversubscribes it; the oversubscription is visible in the trace ledger.
+Bi-level solvers stop before exceeding the budget; their ``max_iters``
+defaults to ``budget_n_g // 2``. Search blocks train each of their ``n_s``
+candidates for ``n_t`` steps with ``n_t`` defaulting to ``budget_n_g // 2``
+(the bi-level outer-iteration count), so ``n_s = 2`` spends exactly the
+shared budget and larger ``n_s`` deliberately oversubscribes it; the
+oversubscription is visible in the trace ledger.
 
 Each (solver, repetition) pair writes one ``*.trace.csv`` file. Rerunning
 a config reproduces the files byte for byte.
@@ -40,10 +45,13 @@ a config reproduces the files byte for byte.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -59,10 +67,9 @@ from .data import (
     synthesize,
 )
 from .model import LEAST_SQUARES, LOGISTIC, LossSpec
-from .moreau import MyhpoConfig, MyhpoState, myhpo_run
+from .moreau import VARIANT_SOLVERS, MyhpoConfig, MyhpoState, myhpo_run
 from .rng import PRNG_ID
 from .search import (
-    CandidateEval,
     SearchConfig,
     grid_candidates,
     random_candidates,
@@ -84,24 +91,12 @@ class UnknownSolver(ValueError):
     """A solver block names an unregistered solver."""
 
 
-SOLVER_NAMES = ("sho", "myhpo_c", "myhpo_bt", "myhpo_full", "random", "grid")
-
-# per-solver parameter defaults; None means "budget_n_g // 2 at resolve time"
-SOLVER_DEFAULTS = {
-    "sho": {
-        "alpha": 0.01, "beta": 0.01, "sigma": 1e-4,
-        "lambda0": -1.0, "max_iters": None,
-    },
-    "myhpo": {
-        "rho": 1.0, "alpha": 0.05, "beta": 0.1, "delta": 0.5,
-        "lambda0": -1.0, "eps_tol": 1e-10, "max_iters": None,
-        "max_halvings": 30, "inner_tol": 1e-8, "inner_max_iters": 500,
-        "fresh_w_gradient": False,
-    },
-    "search": {
-        "lo": -10.0, "hi": 5.0, "n_s": 2, "n_t": None, "alpha_train": 0.001,
-    },
-}
+# solver name -> config class; a block's parameters, their types and their
+# defaults are the class's fields (less seed and variant, which the harness sets)
+SOLVERS = {"sho": ShoConfig, **{name: MyhpoConfig for name in VARIANT_SOLVERS.values()},
+           "random": SearchConfig, "grid": SearchConfig}
+SOLVER_NAMES = tuple(SOLVERS)
+_VARIANT_OF = {name: variant for variant, name in VARIANT_SOLVERS.items()}
 
 _PROBLEM_DEFAULTS = {
     "loss": LEAST_SQUARES,
@@ -135,7 +130,7 @@ class ExperimentConfig:
 def _parse_flat(text: str) -> dict[str, str]:
     flat: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
@@ -172,23 +167,6 @@ _PROBLEM_TYPES = {
     "stratified": bool,
 }
 
-_SOLVER_TYPES = {
-    "name": str, "label": str,
-    "alpha": float, "beta": float, "delta": float, "sigma": float, "rho": float,
-    "lambda0": float, "eps_tol": float, "max_iters": int, "max_halvings": int,
-    "inner_tol": float, "inner_max_iters": int, "fresh_w_gradient": bool,
-    "lo": float, "hi": float, "n_s": int, "n_t": int, "alpha_train": float,
-}
-
-
-def _defaults_for(name: str) -> dict:
-    if name == "sho":
-        return dict(SOLVER_DEFAULTS["sho"])
-    if name.startswith("myhpo"):
-        return dict(SOLVER_DEFAULTS["myhpo"])
-    return dict(SOLVER_DEFAULTS["search"])
-
-
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and resolve a config from its text; see the module docstring."""
     flat = _parse_flat(text)
@@ -207,11 +185,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             idx_text = head[len("solver["):]
             if not sub or not idx_text.isdigit():
                 raise SchemaError(key, "expected solver[<index>].<param>")
-            if sub not in _SOLVER_TYPES:
-                raise SchemaError(key, "unknown solver key")
-            solver_raw.setdefault(int(idx_text), {})[sub] = _coerce(
-                key, value, _SOLVER_TYPES[sub]
-            )
+            solver_raw.setdefault(int(idx_text), {})[sub] = value
         elif key in ("budget_n_g", "repetitions", "seed"):
             top[key] = _coerce(key, value, int)
         elif key == "output_dir":
@@ -316,43 +290,40 @@ def _resolve_solvers(solver_raw: dict[int, dict], budget: int) -> list[SolverBlo
         if label in labels:
             raise SchemaError(f"solver[{i}].label", f"duplicate label {label!r}")
         labels.add(label)
-        params = _defaults_for(name)
+        cls = SOLVERS[name]
+        params = {f.name: f.default for f in fields(cls)
+                  if f.name not in ("seed", "variant")}
+        if cls is not SearchConfig:
+            params["lambda0"] = -1.0
+        for key in ("max_iters", "n_t"):
+            if key in params:
+                params[key] = budget // 2
         for key, value in raw.items():
             if key not in params:
                 raise SchemaError(f"solver[{i}].{key}", f"not a parameter of {name}")
-            params[key] = value
-        for key in ("max_iters", "n_t"):
-            if key in params and params[key] is None:
-                params[key] = budget // 2
+            params[key] = _coerce(f"solver[{i}].{key}", value, type(params[key]))
         blocks.append(SolverBlock(name=name, label=label, params=params))
     return blocks
 
 
-_TABLE_CACHE: dict[tuple, RawTable] = {}
-
-
-def _load_table(problem: dict, run_seed: int) -> RawTable:
-    kind = problem["kind"]
-    if kind == "synthetic":
-        return synthesize(SyntheticSpec(
-            n=problem["n"], d=problem["d"], kappa=problem["kappa"],
-            noise_std=problem["noise_std"], seed=run_seed,
-        ))
-    key = (kind, problem.get("path"), problem.get("target"),
-           problem.get("images"), problem.get("labels"))
-    if key not in _TABLE_CACHE:
-        if kind == "csv":
-            _TABLE_CACHE[key] = load_csv(problem["path"], problem["target"])
-        else:
-            _TABLE_CACHE[key] = load_idx(problem["images"], problem["labels"])
-    table = _TABLE_CACHE[key]
+def _load_table(problem: dict) -> RawTable:
+    """The csv or idx table of ``problem``, with its class mapping applied."""
+    if problem["kind"] == "csv":
+        table = load_csv(problem["path"], problem["target"])
+    else:
+        table = load_idx(problem["images"], problem["labels"])
     if "class_a" in problem:
         table = make_classification(table, problem["class_a"], problem["class_b"])
     return table
 
 
-def _build_problem(problem: dict, run_seed: int):
-    table = _load_table(problem, run_seed)
+def _build_problem(problem: dict, run_seed: int, table: RawTable | None):
+    """Split ``table``, or a fresh synthetic table when it is None, for one run."""
+    if table is None:
+        table = synthesize(SyntheticSpec(
+            n=problem["n"], d=problem["d"], kappa=problem["kappa"],
+            noise_std=problem["noise_std"], seed=run_seed,
+        ))
     spec = LossSpec(problem["loss"])
     split_spec = SplitSpec(
         train_fraction=problem["train_fraction"],
@@ -373,69 +344,43 @@ def _build_problem(problem: dict, run_seed: int):
     return spec, train, val, test, meta
 
 
-def _rank(c: CandidateEval):
-    return c.rank_key()
-
-
-def _search_trace(block: SolverBlock, result, scfg: SearchConfig,
-                  label: str, seed: int, meta: dict) -> RunTrace:
+def _search_trace(name: str, label: str, seed: int, meta: dict, result,
+                  n_t: int) -> RunTrace:
     """Incumbent trace: row i reports the best candidate seen so far."""
-    trace = RunTrace(solver=block.name, label=label, seed=seed, meta=meta,
-                     prng=PRNG_ID if block.name == "random" else None)
+    trace = RunTrace(solver=name, label=label, seed=seed, meta=meta,
+                     prng=PRNG_ID if name == "random" else None,
+                     diverged=result.winner.diverged)
     best = None
-    n_grad = 0
     for i, cand in enumerate(result.candidates, start=1):
-        n_grad += scfg.n_t
-        if best is None or _rank(cand) < _rank(best):
+        if best is None or cand.rank_key() < best.rank_key():
             best = cand
         trace.append(TraceRow(
-            iter=i, n_grad=n_grad, lam=best.lam,
+            iter=i, n_grad=i * n_t, lam=best.lam,
             train_loss=best.train_loss, val_loss=best.val_loss,
             test_loss=best.test_loss,
         ))
-    trace.diverged = result.winner.diverged
     return trace
 
 
-def _run_block(block: SolverBlock, spec, train, val, test,
-               budget: int, run_seed: int, rep: int, block_index: int,
-               base_meta: dict, config_hash: str) -> RunTrace:
-    p = block.params
-    meta = dict(base_meta)
-    meta.update({
-        "block_index": block_index,
-        "repetition": rep,
-        "run_seed": run_seed,
-        "config_hash": config_hash,
-    })
-    if block.name == "sho":
-        cfg = ShoConfig(alpha=p["alpha"], beta=p["beta"], sigma=p["sigma"],
-                        max_iters=p["max_iters"], seed=run_seed)
-        init = ShoState.initial(train.d, lam0=p["lambda0"])
-        return sho_run(init, spec, train, val, cfg, budget,
+def _run_block(block: SolverBlock, spec, train, val, test, budget: int,
+               run_seed: int, meta: dict) -> RunTrace:
+    params = dict(block.params)
+    cls = SOLVERS[block.name]
+    if cls is SearchConfig:
+        scfg = SearchConfig(**params, seed=run_seed)
+        candidates = (grid_candidates if block.name == "grid" else random_candidates)(scfg)
+        result = search_run(spec, candidates, train, val, test, scfg)
+        meta = {**meta, **params, "budget": budget,
+                "diverged_candidates": sum(c.diverged for c in result.candidates)}
+        return _search_trace(block.name, block.label, run_seed, meta, result, scfg.n_t)
+    lam0 = params.pop("lambda0")
+    if cls is ShoConfig:
+        return sho_run(ShoState.initial(train.d, lam0=lam0), spec, train, val,
+                       ShoConfig(**params, seed=run_seed), budget,
                        test=test, label=block.label, meta=meta)
-    if block.name.startswith("myhpo"):
-        variant = {"myhpo_c": "simplified_constant",
-                   "myhpo_bt": "simplified_backtracking",
-                   "myhpo_full": "full"}[block.name]
-        cfg = MyhpoConfig(
-            rho=p["rho"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"],
-            variant=variant, max_iters=p["max_iters"], eps_tol=p["eps_tol"],
-            max_halvings=p["max_halvings"], inner_tol=p["inner_tol"],
-            inner_max_iters=p["inner_max_iters"],
-            fresh_w_gradient=p["fresh_w_gradient"],
-        )
-        init = MyhpoState.initial(train.d, lam0=p["lambda0"])
-        return myhpo_run(init, spec, train, val, cfg, budget,
-                         test=test, label=block.label, meta=meta, seed=run_seed)
-    scfg = SearchConfig(lo=p["lo"], hi=p["hi"], n_s=p["n_s"], n_t=p["n_t"],
-                        alpha_train=p["alpha_train"], seed=run_seed)
-    candidates = grid_candidates(scfg) if block.name == "grid" else random_candidates(scfg)
-    meta.update({k: p[k] for k in ("lo", "hi", "n_s", "n_t", "alpha_train")})
-    meta["budget"] = budget
-    result = search_run(spec, candidates, train, val, test, scfg)
-    meta["diverged_candidates"] = sum(c.diverged for c in result.candidates)
-    return _search_trace(block, result, scfg, block.label, run_seed, meta)
+    cfg = MyhpoConfig(**params, variant=_VARIANT_OF[block.name])
+    return myhpo_run(MyhpoState.initial(train.d, lam0=lam0), spec, train, val, cfg, budget,
+                     test=test, label=block.label, meta=meta, seed=run_seed)
 
 
 def _safe_name(label: str) -> str:
@@ -459,19 +404,22 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True):
             for k, v in sorted(cfg.resolved.items()):
                 fh.write(f"{k} = {v}\n")
             fh.write(f"config_hash = {cfg.config_hash}\n")
+    # a file-backed table is read once; a synthetic one is drawn per run seed
+    table = None if cfg.problem["kind"] == "synthetic" else _load_table(cfg.problem)
     for rep in range(cfg.repetitions):
         run_seed = cfg.seed + rep
-        spec, train, val, test, base_meta = _build_problem(cfg.problem, run_seed)
+        spec, train, val, test, base_meta = _build_problem(cfg.problem, run_seed, table)
         base_meta["budget_n_g"] = cfg.budget_n_g
         for i, block in enumerate(cfg.solvers):
+            meta = dict(base_meta, block_index=i, repetition=rep, run_seed=run_seed,
+                        config_hash=cfg.config_hash)
             try:
                 trace = _run_block(block, spec, train, val, test, cfg.budget_n_g,
-                                   run_seed, rep, i, base_meta, cfg.config_hash)
+                                   run_seed, meta)
             except Exception as exc:  # keep the experiment alive
                 trace = RunTrace(solver=block.name, label=block.label, seed=run_seed,
-                                 meta=dict(base_meta, block_index=i, repetition=rep,
-                                           run_seed=run_seed, config_hash=cfg.config_hash),
-                                 diverged=True, note=f"aborted: {type(exc).__name__}: {exc}")
+                                 meta=meta, diverged=True,
+                                 note=f"aborted: {type(exc).__name__}: {exc}")
             traces.append(trace)
             if write:
                 fname = f"{_safe_name(block.label)}__rep{rep:03d}.trace.csv"
@@ -579,7 +527,7 @@ def render_summary(table: SummaryTable, fmt: str = "aligned-text") -> str:
     ]
     header = ["metric"] + labels
     if fmt == "csv":
-        return "\n".join(",".join(cells) for cells in [header] + rows) + "\n"
+        return _csv_text([header] + rows)
     if fmt != "aligned-text":
         raise ValueError(f"unknown summary format {fmt!r}")
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
@@ -603,14 +551,21 @@ def render_curves(traces: list[RunTrace], x_axis: str = "n_grad") -> str:
     """
     if x_axis not in ("iter", "n_grad"):
         raise ValueError(f"x_axis must be 'iter' or 'n_grad', got {x_axis!r}")
-    lines = ["solver,seed,x,train_loss,val_loss,diverged"]
+    rows = [["solver", "seed", "x", "train_loss", "val_loss", "diverged"]]
     for trace in traces:
         for i, row in enumerate(trace.rows):
             flag = "true" if trace.diverged and i == len(trace.rows) - 1 else "false"
             x = row.iter if x_axis == "iter" else row.n_grad
-            lines.append(f"{trace.label},{trace.seed},{x},"
-                         f"{row.train_loss!r},{row.val_loss!r},{flag}")
-    return "\n".join(lines) + "\n"
+            rows.append([trace.label, trace.seed, x,
+                         repr(row.train_loss), repr(row.val_loss), flag])
+    return _csv_text(rows)
+
+
+def _csv_text(rows) -> str:
+    """CSV with cells quoted only where needed, so plain labels stay bare."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def emit_curves(traces: list[RunTrace], x_axis: str, path) -> str:
@@ -632,10 +587,8 @@ def load_reference_results() -> list[dict]:
     algorithms benchmarked here; they are display-only context and are
     never recomputed or asserted against.
     """
-    import csv as _csv
-
     text = resources.files("myhpo").joinpath("reference_results.csv").read_text()
-    reader = _csv.DictReader(text.splitlines())
+    reader = csv.DictReader(text.splitlines())
     return list(reader)
 
 

@@ -114,17 +114,6 @@ class LossSpec:
             raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Hyper:
-    """Scalar log-scale regularization parameter; the penalty weight is exp(lam)."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam!r}")
-
-
 @dataclass
 class BestResponse:
     """Affine hypernetwork ``lam -> lam * phi1 + phi0``."""
@@ -183,6 +172,12 @@ def _exp(lam: float) -> float:
         return math.exp(lam)
     except OverflowError:
         return math.inf
+
+
+def require_finite(iteration: int, lam: float, *arrays: np.ndarray):
+    """Raise NonFiniteIterate unless ``lam`` and every array are finite."""
+    if not (math.isfinite(lam) and all(np.all(np.isfinite(a)) for a in arrays)):
+        raise NonFiniteIterate(f"non-finite iterate at iteration {iteration}")
 
 
 def _check_w(w: np.ndarray, data: Dataset) -> np.ndarray:

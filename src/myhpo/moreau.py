@@ -56,7 +56,7 @@ Variants
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -67,19 +67,25 @@ from .model import (
     BestResponse,
     Dataset,
     LossSpec,
-    NonFiniteIterate,
     SplitDegenerate,
     best_response,
     grad_lambda_val,
     grad_w_train,
     grad_w_val,
+    require_finite,
     split_best_response,
     train_loss,
     val_loss,
 )
-from .trace import RunTrace, TraceRow
+from .trace import RunTrace, TraceRow, record_run
 
-VARIANTS = ("simplified_constant", "simplified_backtracking", "full")
+# variant -> the solver name that labels its traces and config blocks
+VARIANT_SOLVERS = {
+    "simplified_constant": "myhpo_c",
+    "simplified_backtracking": "myhpo_bt",
+    "full": "myhpo_full",
+}
+VARIANTS = tuple(VARIANT_SOLVERS)
 
 SIMPLIFIED_STEP_COST = 2  # training gradient + validation gradient
 
@@ -138,7 +144,6 @@ class MyhpoState:
     iter: int = 0
     grad_count: int = 0
     loss_eval_count: int = 0
-    stall_count: int = 0
     last_backtrack: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -168,16 +173,6 @@ def residuals(state_new: MyhpoState, lambda_old: float, rho: float) -> Residuals
     return Residuals(r=r, s=s)
 
 
-def _require_finite(state: MyhpoState):
-    if not (
-        math.isfinite(state.lam)
-        and np.all(np.isfinite(state.v))
-        and np.all(np.isfinite(state.w))
-        and np.all(np.isfinite(state.u))
-    ):
-        raise NonFiniteIterate(f"non-finite iterate at iteration {state.iter}")
-
-
 def _lam_direction(
     spec: LossSpec,
     br: BestResponse,
@@ -197,45 +192,6 @@ def _lam_direction(
         - float(u @ br.phi1)
         - rho * float(br.phi1 @ slack)
     )
-
-
-def my_step_simplified(
-    state: MyhpoState,
-    spec: LossSpec,
-    train: Dataset,
-    val: Dataset,
-    cfg: MyhpoConfig,
-) -> tuple[MyhpoState, Residuals]:
-    """One constant-step iteration of the four block updates."""
-    lam = state.lam
-    g_t = grad_w_train(spec, state.v, lam, train)
-    v_new = state.v - cfg.alpha * g_t
-    br = split_best_response(v_new, lam)
-    gw_old = best_response(br, lam)
-
-    grads = SIMPLIFIED_STEP_COST
-    g_for_w = g_t
-    if cfg.fresh_w_gradient:
-        g_for_w = grad_w_train(spec, state.w, lam, train)
-        grads += 1
-    w_new = state.w - cfg.beta * (g_for_w + state.u + cfg.rho * (state.w - gw_old))
-
-    lam_new = lam - cfg.delta * _lam_direction(spec, br, lam, w_new, state.u, cfg.rho, val)
-    u_new = state.u + cfg.rho * (w_new - best_response(br, lam_new))
-
-    new = MyhpoState(
-        v=v_new,
-        w=w_new,
-        lam=lam_new,
-        u=u_new,
-        br=br,
-        iter=state.iter + 1,
-        grad_count=state.grad_count + grads,
-        loss_eval_count=state.loss_eval_count,
-        stall_count=state.stall_count,
-    )
-    _require_finite(new)
-    return new, residuals(new, lam, cfg.rho)
 
 
 def _backtrack(x0, direction, step0: float, merit, max_halvings: int):
@@ -263,23 +219,22 @@ def _backtrack(x0, direction, step0: float, merit, max_halvings: int):
                             evals=evals, stalled=True)
 
 
-def my_step_backtracking(
-    state: MyhpoState,
-    spec: LossSpec,
-    train: Dataset,
-    val: Dataset,
-    cfg: MyhpoConfig,
-) -> tuple[MyhpoState, Residuals]:
-    """Simplified step where each block backtracks on its own merit function.
+def _constant(x0, direction, step0: float, merit, max_halvings: int):
+    """Take the full step ``x0 - step0 * direction``; the merit is never evaluated."""
+    return x0 - step0 * direction, None
+
+
+def _simplified_step(state, spec, train, val, cfg, line_search):
+    """The four block updates, each stepping along its gradient by ``line_search``.
 
     Merit functions are block-coordinate: the v block uses the training
     loss, the w block the augmented training objective, the lam block the
-    augmented validation objective. Gradient reuse and the gradient ledger
-    are identical to the constant-step variant.
+    augmented validation objective. The w block reuses the step-1 training
+    gradient unless ``cfg.fresh_w_gradient`` asks for a fresh one at ``w``.
     """
     lam = state.lam
     g_t = grad_w_train(spec, state.v, lam, train)
-    v_new, out_v = _backtrack(
+    v_new, out_v = line_search(
         state.v, g_t, cfg.alpha,
         lambda x: train_loss(spec, x, lam, train),
         cfg.max_halvings,
@@ -302,7 +257,7 @@ def my_step_backtracking(
         )
 
     w_dir = g_for_w + state.u + cfg.rho * (state.w - gw_old)
-    w_new, out_w = _backtrack(state.w, w_dir, cfg.beta, w_merit, cfg.max_halvings)
+    w_new, out_w = line_search(state.w, w_dir, cfg.beta, w_merit, cfg.max_halvings)
 
     def lam_merit(t):
         gw = best_response(br, t)
@@ -314,12 +269,12 @@ def my_step_backtracking(
         )
 
     lam_dir = _lam_direction(spec, br, lam, w_new, state.u, cfg.rho, val)
-    lam_new, out_l = _backtrack(lam, lam_dir, cfg.delta, lam_merit, cfg.max_halvings)
+    lam_new, out_l = line_search(lam, lam_dir, cfg.delta, lam_merit, cfg.max_halvings)
     lam_new = float(lam_new)
 
     u_new = state.u + cfg.rho * (w_new - best_response(br, lam_new))
 
-    outcomes = (out_v, out_w, out_l)
+    outcomes = None if out_v is None else (out_v, out_w, out_l)
     new = MyhpoState(
         v=v_new,
         w=w_new,
@@ -328,12 +283,37 @@ def my_step_backtracking(
         br=br,
         iter=state.iter + 1,
         grad_count=state.grad_count + grads,
-        loss_eval_count=state.loss_eval_count + sum(o.evals for o in outcomes),
-        stall_count=state.stall_count + sum(o.stalled for o in outcomes),
+        loss_eval_count=state.loss_eval_count + sum(o.evals for o in outcomes or ()),
         last_backtrack=outcomes,
     )
-    _require_finite(new)
+    require_finite(new.iter, new.lam, new.v, new.w, new.u)
     return new, residuals(new, lam, cfg.rho)
+
+
+def my_step_simplified(
+    state: MyhpoState,
+    spec: LossSpec,
+    train: Dataset,
+    val: Dataset,
+    cfg: MyhpoConfig,
+) -> tuple[MyhpoState, Residuals]:
+    """One constant-step iteration of the four block updates."""
+    return _simplified_step(state, spec, train, val, cfg, _constant)
+
+
+def my_step_backtracking(
+    state: MyhpoState,
+    spec: LossSpec,
+    train: Dataset,
+    val: Dataset,
+    cfg: MyhpoConfig,
+) -> tuple[MyhpoState, Residuals]:
+    """Simplified step where each block backtracks on its own merit function.
+
+    Directions, gradient reuse and the gradient ledger are identical to the
+    constant-step variant; ``last_backtrack`` holds the three block outcomes.
+    """
+    return _simplified_step(state, spec, train, val, cfg, _backtrack)
 
 
 class _Ledger:
@@ -493,9 +473,8 @@ def my_step_full(
         iter=state.iter + 1,
         grad_count=state.grad_count + ledger.spent,
         loss_eval_count=state.loss_eval_count,
-        stall_count=state.stall_count,
     )
-    _require_finite(new)
+    require_finite(new.iter, new.lam, new.v, new.w, new.u)
     return new, residuals(new, lam, cfg.rho), (trunc1 or trunc2 or trunc3)
 
 
@@ -524,79 +503,46 @@ def myhpo_run(
     """
     if budget < 2:
         raise ValueError("budget must be at least 2")
-    solver = {
-        "simplified_constant": "myhpo_c",
-        "simplified_backtracking": "myhpo_bt",
-        "full": "myhpo_full",
-    }[cfg.variant]
-    full_meta = {
-        "rho": cfg.rho,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "delta": cfg.delta,
-        "variant": cfg.variant,
-        "max_iters": cfg.max_iters,
-        "eps_tol": cfg.eps_tol,
-        "max_halvings": cfg.max_halvings,
-        "inner_tol": cfg.inner_tol,
-        "inner_max_iters": cfg.inner_max_iters,
-        "fresh_w_gradient": cfg.fresh_w_gradient,
-        "budget": budget,
-        "lambda0": init.lam,
-    }
-    full_meta.update(meta or {})
-    trace = RunTrace(solver=solver, label=label or solver, seed=seed, meta=full_meta)
+    solver = VARIANT_SOLVERS[cfg.variant]
+    trace = RunTrace(solver=solver, label=label or solver, seed=seed,
+                     meta={**asdict(cfg), "budget": budget, "lambda0": init.lam, **(meta or {})})
+    rows = _myhpo_rows(init, spec, train, val, cfg, budget, test)
+    return record_run(trace, rows, stop_errors=(SplitDegenerate, InnerSolveFailed))
 
+
+def _myhpo_rows(state, spec, train, val, cfg, budget, test):
+    """Step ``state`` under the budget, yielding one row per iteration."""
     full = cfg.variant == "full"
     cache = _solver_cache(spec, train, val) if full else None
     step_cost = SIMPLIFIED_STEP_COST + (1 if cfg.fresh_w_gradient else 0)
-    state = init
-    # blowup is detected via isfinite checks, so numpy overflow noise is expected
-    with np.errstate(over="ignore", invalid="ignore"):
-        while state.iter < cfg.max_iters:
-            truncated = False
-            try:
-                if full:
-                    if state.grad_count >= budget:
-                        break
-                    state, res, truncated = my_step_full(
-                        state, spec, train, val, cfg,
-                        grad_cap=budget - state.grad_count, _cache=cache,
-                    )
-                else:
-                    if state.grad_count + step_cost > budget:
-                        break
-                    if cfg.variant == "simplified_backtracking":
-                        state, res = my_step_backtracking(state, spec, train, val, cfg)
-                    else:
-                        state, res = my_step_simplified(state, spec, train, val, cfg)
-            except NonFiniteIterate:
-                trace.diverged = True
-                break
-            except (SplitDegenerate, InnerSolveFailed) as exc:
-                trace.note = f"{type(exc).__name__}: {exc}"
-                break
-            row = TraceRow(
-                iter=state.iter,
-                n_grad=state.grad_count,
-                lam=state.lam,
-                train_loss=train_loss(spec, state.w, state.lam, train),
-                val_loss=val_loss(spec, state.w, val),
-                test_loss=None if test is None else val_loss(spec, state.w, test),
-                r_norm=res.r_norm,
-                s_norm=res.s_norm,
-                u_norm=float(np.linalg.norm(state.u)),
-                loss_eval_count=state.loss_eval_count,
+    step = my_step_backtracking if cfg.variant == "simplified_backtracking" else my_step_simplified
+    while state.iter < cfg.max_iters:
+        truncated = False
+        if full:
+            if state.grad_count >= budget:
+                return
+            state, res, truncated = my_step_full(
+                state, spec, train, val, cfg,
+                grad_cap=budget - state.grad_count, _cache=cache,
             )
-            if not (math.isfinite(row.train_loss) and math.isfinite(row.val_loss)):
-                trace.diverged = True
-                break
-            trace.append(row)
-            if max(res.r_norm, res.s_norm) < cfg.eps_tol:
-                break
-            if truncated:
-                break
-    return trace
+        else:
+            if state.grad_count + step_cost > budget:
+                return
+            state, res = step(state, spec, train, val, cfg)
+        yield TraceRow(
+            iter=state.iter,
+            n_grad=state.grad_count,
+            lam=state.lam,
+            train_loss=train_loss(spec, state.w, state.lam, train),
+            val_loss=val_loss(spec, state.w, val),
+            test_loss=None if test is None else val_loss(spec, state.w, test),
+            r_norm=res.r_norm,
+            s_norm=res.s_norm,
+            u_norm=float(np.linalg.norm(state.u)),
+            loss_eval_count=state.loss_eval_count,
+        )
+        if max(res.r_norm, res.s_norm) < cfg.eps_tol or truncated:
+            return
 
 
 @dataclass

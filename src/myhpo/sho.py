@@ -18,8 +18,7 @@ so ``grad_count == 2 * iter`` always holds.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,15 +26,15 @@ from .model import (
     BestResponse,
     Dataset,
     LossSpec,
-    NonFiniteIterate,
     best_response,
     grad_lambda_val,
     grad_w_train,
+    require_finite,
     train_loss,
     val_loss,
 )
 from .rng import PRNG_ID, RandomStream
-from .trace import RunTrace, TraceRow
+from .trace import RunTrace, TraceRow, record_run
 
 
 @dataclass
@@ -73,15 +72,6 @@ class ShoState:
         return cls(br=BestResponse(np.zeros(d), np.zeros(d)), lam=lam0)
 
 
-def _require_finite(state: ShoState):
-    if not (
-        math.isfinite(state.lam)
-        and np.all(np.isfinite(state.br.phi1))
-        and np.all(np.isfinite(state.br.phi0))
-    ):
-        raise NonFiniteIterate(f"non-finite iterate at iteration {state.iter}")
-
-
 def sho_step(
     state: ShoState,
     spec: LossSpec,
@@ -104,7 +94,7 @@ def sho_step(
         iter=state.iter + 1,
         grad_count=state.grad_count + 2,
     )
-    _require_finite(new)
+    require_finite(new.iter, new.lam, new.br.phi1, new.br.phi0)
     return new
 
 
@@ -127,37 +117,24 @@ def sho_run(
     """
     if budget < 2:
         raise ValueError("budget must be at least 2")
-    full_meta = {
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "sigma": cfg.sigma,
-        "max_iters": cfg.max_iters,
-        "budget": budget,
-        "lambda0": init.lam,
-    }
-    full_meta.update(meta or {})
-    trace = RunTrace(solver="sho", label=label, seed=cfg.seed, meta=full_meta, prng=PRNG_ID)
+    params = asdict(cfg)
+    del params["seed"]  # recorded in the header's own seed line
+    trace = RunTrace(solver="sho", label=label, seed=cfg.seed, prng=PRNG_ID,
+                     meta={**params, "budget": budget, "lambda0": init.lam, **(meta or {})})
+    return record_run(trace, _sho_rows(init, spec, train, val, cfg, budget, test))
+
+
+def _sho_rows(state, spec, train, val, cfg, budget, test):
+    """Step ``state`` under the budget, yielding one row per iteration."""
     rng = RandomStream(cfg.seed)
-    state = init
-    # blowup is detected via isfinite checks, so numpy overflow noise is expected
-    with np.errstate(over="ignore", invalid="ignore"):
-        while state.grad_count + 2 <= budget and state.iter < cfg.max_iters:
-            try:
-                state = sho_step(state, spec, train, val, cfg, rng)
-            except NonFiniteIterate:
-                trace.diverged = True
-                break
-            w = best_response(state.br, state.lam)
-            row = TraceRow(
-                iter=state.iter,
-                n_grad=state.grad_count,
-                lam=state.lam,
-                train_loss=train_loss(spec, w, state.lam, train),
-                val_loss=val_loss(spec, w, val),
-                test_loss=None if test is None else val_loss(spec, w, test),
-            )
-            if not (math.isfinite(row.train_loss) and math.isfinite(row.val_loss)):
-                trace.diverged = True
-                break
-            trace.append(row)
-    return trace
+    while state.grad_count + 2 <= budget and state.iter < cfg.max_iters:
+        state = sho_step(state, spec, train, val, cfg, rng)
+        w = best_response(state.br, state.lam)
+        yield TraceRow(
+            iter=state.iter,
+            n_grad=state.grad_count,
+            lam=state.lam,
+            train_loss=train_loss(spec, w, state.lam, train),
+            val_loss=val_loss(spec, w, val),
+            test_loss=None if test is None else val_loss(spec, w, test),
+        )

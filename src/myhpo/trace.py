@@ -1,4 +1,4 @@
-"""Per-iteration run traces and their CSV serialization.
+r"""Per-iteration run traces and their CSV serialization.
 
 A trace is the complete record of one solver run: header metadata (solver
 name, label, seed, PRNG identifier, divergence flag, and every parameter
@@ -9,14 +9,27 @@ made by backtracking; plain loss evaluations recorded for reporting are
 not algorithm cost and are not counted.
 
 On disk a trace is a CSV file whose leading lines are ``# key = value``
-comments, followed by the fixed column header. Floats are written with
-``repr`` so rereading is bit-exact and rerunning a config reproduces
-byte-identical files.
+comments, followed by the fixed column header. Header values escape
+backslash, carriage return and line feed as ``\\``, ``\r`` and ``\n``, so
+any string reads back unchanged. Floats are written with ``repr`` so
+rereading is bit-exact and rerunning a config reproduces byte-identical
+files.
+
+``record_run`` is the one run loop behind every iterative solver: it
+records the rows a solver yields and turns blowup and solver stop
+exceptions into the trace's divergence flag and note.
 """
 
 from __future__ import annotations
 
+import math
+import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .model import NonFiniteIterate
 
 TRACE_COLUMNS = (
     "iter",
@@ -64,6 +77,17 @@ def _cell_float(cell: str) -> float | None:
     return None if cell == "" else float(cell)
 
 
+def _escape(value) -> str:
+    return str(value).replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
+
+
+_ESCAPES = {"\\": "\\", "r": "\r", "n": "\n"}
+
+
+def _unescape(value: str) -> str:
+    return re.sub(r"\\(.)", lambda m: _ESCAPES.get(m[1], m[0]), value)
+
+
 @dataclass
 class RunTrace:
     solver: str
@@ -86,24 +110,21 @@ class RunTrace:
 
     def final_finite_row(self) -> TraceRow | None:
         """Last row whose train and validation losses are finite."""
-        import math
-
         for row in reversed(self.rows):
             if math.isfinite(row.train_loss) and math.isfinite(row.val_loss):
                 return row
         return None
 
     def write_csv(self, path):
-        lines = [
-            f"# solver = {self.solver}",
-            f"# label = {self.label}",
-            f"# seed = {self.seed}",
-            f"# prng = {self.prng or ''}",
-            f"# diverged = {'true' if self.diverged else 'false'}",
-            f"# note = {self.note}",
-        ]
-        for key in sorted(self.meta):
-            lines.append(f"# meta.{key} = {self.meta[key]}")
+        header = [
+            ("solver", self.solver),
+            ("label", self.label),
+            ("seed", self.seed),
+            ("prng", self.prng or ""),
+            ("diverged", "true" if self.diverged else "false"),
+            ("note", self.note),
+        ] + [(f"meta.{key}", self.meta[key]) for key in sorted(self.meta)]
+        lines = [f"# {key} = {_escape(value)}" for key, value in header]
         lines.append(",".join(TRACE_COLUMNS))
         for row in self.rows:
             lines.append(",".join(row.as_cells()))
@@ -116,16 +137,16 @@ class RunTrace:
         meta: dict[str, str] = {}
         rows: list[TraceRow] = []
         saw_columns = False
-        with open(path, "r", encoding="utf-8") as fh:
+        # no newline translation: a raw CR is part of a line, not its end
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
             for line in fh:
-                line = line.rstrip("\n")
+                line = line.rstrip("\r\n")
                 if not line:
                     continue
                 if line.startswith("#"):
-                    body = line[1:].strip()
-                    key, _, value = body.partition("=")
+                    key, _, value = line[1:].partition("=")
                     key = key.strip()
-                    value = value.strip()
+                    value = _unescape(value[1:] if value.startswith(" ") else value)
                     if key.startswith("meta."):
                         meta[key[len("meta."):]] = value
                     else:
@@ -162,3 +183,26 @@ class RunTrace:
         )
         trace.rows = rows
         return trace
+
+
+def record_run(trace: RunTrace, rows: Iterable[TraceRow], stop_errors: tuple = ()) -> RunTrace:
+    """Append the rows a solver run yields to ``trace`` and return it.
+
+    Blowup is detected by isfinite checks, so numpy overflow noise is
+    silenced. A ``NonFiniteIterate`` raised by the run, or a row with a
+    non-finite train or validation loss, marks the trace diverged and keeps
+    the rows recorded so far. An exception in ``stop_errors`` ends the run
+    with ``"<ExcName>: <message>"`` in the trace note.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for row in rows:
+                if not (math.isfinite(row.train_loss) and math.isfinite(row.val_loss)):
+                    trace.diverged = True
+                    break
+                trace.append(row)
+        except NonFiniteIterate:
+            trace.diverged = True
+        except stop_errors as exc:
+            trace.note = f"{type(exc).__name__}: {exc}"
+    return trace

@@ -1,8 +1,11 @@
+import csv
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from myhpo import bench
 from myhpo.bench import (
@@ -108,6 +111,28 @@ class TestParseConfig:
     def test_noncontiguous_solver_indices(self):
         with pytest.raises(SchemaError):
             parse_config_text(MINIMAL + "solver[2].name = sho\n")
+
+    def test_hash_inside_a_value_is_kept(self):
+        text = ("problem.kind = csv\nproblem.path = data#1.csv\nproblem.target = y#2\n"
+                "budget_n_g = 10\nsolver[0].name = sho\n")
+        cfg = parse_config_text(text)
+        assert cfg.problem["path"] == "data#1.csv"
+        assert cfg.problem["target"] == "y#2"
+
+    def test_comments_after_whitespace_and_at_line_start(self):
+        text = ("# leading comment\n  # indented comment\n" + MINIMAL
+                + "solver[0].alpha = 0.5  # trailing note\nsolver[0].beta = 0.25\t# tab\n")
+        params = parse_config_text(text).solvers[0].params
+        assert params["alpha"] == 0.5 and params["beta"] == 0.25
+
+    def test_solver_params_are_config_fields(self):
+        cfg = parse_config_text(MINIMAL + "solver[1].name = myhpo_full\n"
+                                "solver[1].fresh_w_gradient = yes\nsolver[1].max_iters = 7\n")
+        params = cfg.solvers[1].params
+        assert params["fresh_w_gradient"] is True
+        assert params["max_iters"] == 7
+        assert isinstance(params["max_halvings"], int)
+        assert "variant" not in params and "seed" not in params
 
 
 class TestRunExperiment:
@@ -306,6 +331,21 @@ class TestCurves:
         with pytest.raises(ValueError):
             render_curves([], "epochs")
 
+    def test_labels_with_commas_are_quoted(self):
+        text = render_curves([self.make_trace("sho, a=0.5", 0)], "iter")
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0] == ["solver", "seed", "x", "train_loss", "val_loss", "diverged"]
+        assert [r[0] for r in rows[1:]] == ["sho, a=0.5"] * 3
+        assert [r[2] for r in rows[1:]] == ["1", "2", "3"]
+
+    def test_summary_csv_quotes_labels(self):
+        entry = bench.SolverSummary("sho, a=0.5", "sho", 1, 0.01, 0.0, 0.02, 0.0,
+                                    0.03, 0.0, 10.0, 0)
+        rows = list(csv.reader(render_summary(SummaryTable([entry]), "csv").splitlines()))
+        assert rows[0] == ["metric", "sho, a=0.5"]
+        assert all(len(r) == 2 for r in rows)
+        assert rows[1] == ["train (x1e-2)", "1.00 ± 0.00"]
+
 
 class TestTraceIO:
     def test_round_trip(self, tmp_path):
@@ -322,6 +362,36 @@ class TestTraceIO:
         row = back.rows[0]
         assert row.lam == -1.0 and row.test_loss is None
         assert row.r_norm == 1e-3 and row.loss_eval_count == 6
+
+    def test_header_with_newlines_round_trips(self, tmp_path):
+        t = RunTrace(solver="myhpo_bt", label="bt", seed=3,
+                     meta={"path": "C:\\data\\new", "msg": "a\r\nb"},
+                     note="aborted: ValueError: line one\nline two\\n")
+        t.append(TraceRow(iter=1, n_grad=2, lam=-1.0, train_loss=0.5, val_loss=0.25))
+        t.write_csv(tmp_path / "t.trace.csv")
+        back = read_traces(tmp_path)[0]
+        assert back.note == t.note
+        assert back.meta == t.meta
+        assert back.rows[0].as_cells() == t.rows[0].as_cells()
+        assert summarize_traces([back]).entries[0].runs == 1
+
+    def test_plain_header_bytes(self, tmp_path):
+        t = RunTrace(solver="sho", label="s", seed=1, meta={"alpha": 0.5})
+        t.write_csv(tmp_path / "t.trace.csv")
+        assert (tmp_path / "t.trace.csv").read_bytes().splitlines()[:7] == [
+            b"# solver = sho", b"# label = s", b"# seed = 1", b"# prng = ",
+            b"# diverged = false", b"# note = ", b"# meta.alpha = 0.5"]
+
+    @given(note=st.text(),
+           meta=st.dictionaries(st.from_regex(r"[a-z_.]{1,8}", fullmatch=True), st.text()))
+    def test_header_strings_survive_write_and_read(self, note, meta):
+        t = RunTrace(solver="sho", label="s", seed=0, meta=meta, note=note)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.trace.csv")
+            t.write_csv(path)
+            back = RunTrace.read_csv(path)
+        assert back.note == note
+        assert back.meta == meta
 
     def test_n_grad_must_increase(self):
         t = RunTrace(solver="sho", label="s", seed=0)

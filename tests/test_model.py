@@ -8,7 +8,6 @@ from myhpo.model import (
     BestResponse,
     Dataset,
     DimensionMismatch,
-    Hyper,
     LossSpec,
     SplitDegenerate,
     best_response,
@@ -47,11 +46,6 @@ class TestTypes:
     def test_loss_spec_kinds(self):
         with pytest.raises(ValueError):
             LossSpec("hinge")
-
-    def test_hyper_requires_finite(self):
-        Hyper(-1.0)
-        with pytest.raises(ValueError):
-            Hyper(float("nan"))
 
     def test_best_response_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
