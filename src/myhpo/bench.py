@@ -60,6 +60,7 @@ from .data import (
     RawTable,
     SplitSpec,
     SyntheticSpec,
+    ZeroVariance,
     load_csv,
     load_idx,
     make_classification,
@@ -124,7 +125,14 @@ class ExperimentConfig:
     output_dir: str
     solvers: list[SolverBlock]
     resolved: dict = field(default_factory=dict)
-    config_hash: str = ""
+
+    @property
+    def config_hash(self) -> str:
+        """Digest of ``resolved`` less ``output_dir``, which does not influence results."""
+        return hashlib.sha256(
+            "\n".join(f"{k} = {v}" for k, v in sorted(self.resolved.items())
+                      if k != "output_dir").encode()
+        ).hexdigest()[:12]
 
 
 def _parse_flat(text: str) -> dict[str, str]:
@@ -154,9 +162,12 @@ def _coerce(key: str, value, kind):
             if value.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(value)
-        return kind(value)
+        coerced = kind(value)
     except (TypeError, ValueError):
         raise SchemaError(key, f"cannot read {value!r} as {kind.__name__}") from None
+    if kind is float and not math.isfinite(coerced):
+        raise SchemaError(key, f"must be finite, got {value!r}")
+    return coerced
 
 
 _PROBLEM_TYPES = {
@@ -216,16 +227,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         resolved[f"solver[{i}].label"] = block.label
         for k, v in sorted(block.params.items()):
             resolved[f"solver[{i}].{k}"] = v
-    # output_dir is echoed but not hashed: it does not influence results,
-    # so the same experiment in two directories produces identical traces
-    digest = hashlib.sha256(
-        "\n".join(f"{k} = {v}" for k, v in sorted(resolved.items())
-                  if k != "output_dir").encode()
-    ).hexdigest()[:12]
-
     return ExperimentConfig(
         problem=problem, budget_n_g=budget, repetitions=repetitions, seed=seed,
-        output_dir=output_dir, solvers=solvers, resolved=resolved, config_hash=digest,
+        output_dir=output_dir, solvers=solvers, resolved=resolved,
     )
 
 
@@ -334,13 +338,13 @@ def _build_problem(problem: dict, run_seed: int, table: RawTable | None):
     )
     train, val, test = split(table, split_spec)
     meta = {f"problem.{k}": v for k, v in sorted(problem.items())}
-    meta.update({
-        "loss": problem["loss"],
-        "split_sizes": f"{train.n}/{val.n}/{test.n}",
-        "var_train": repr(float(np.var(train.y))),
-        "var_val": repr(float(np.var(val.y))),
-        "var_test": repr(float(np.var(test.y))),
-    })
+    meta.update({"loss": problem["loss"], "split_sizes": f"{train.n}/{val.n}/{test.n}"})
+    for name, data in (("train", train), ("val", val), ("test", test)):
+        var = float(np.var(data.y))
+        # the summary divides regression losses by these variances
+        if var == 0.0 and problem["loss"] == LEAST_SQUARES:
+            raise ZeroVariance(f"{data.role} split targets are constant (run seed {run_seed})")
+        meta[f"var_{name}"] = repr(var)
     return spec, train, val, test, meta
 
 
@@ -516,8 +520,8 @@ def _fmt_cell(mean: float, std: float) -> str:
 
 def render_summary(table: SummaryTable, fmt: str = "aligned-text") -> str:
     """Render the summary grid: solver columns, loss rows, values x 1e-2."""
-    labels = [e.label for e in table.entries]
-    rows = [
+    grid = [
+        ["metric"] + [e.label for e in table.entries],
         ["train (x1e-2)"] + [_fmt_cell(e.train_mean, e.train_std) for e in table.entries],
         ["val (x1e-2)"] + [_fmt_cell(e.val_mean, e.val_std) for e in table.entries],
         ["test (x1e-2)"] + [_fmt_cell(e.test_mean, e.test_std) for e in table.entries],
@@ -525,15 +529,18 @@ def render_summary(table: SummaryTable, fmt: str = "aligned-text") -> str:
         ["diverged"] + [str(e.diverged) for e in table.entries],
         ["runs"] + [str(e.runs) for e in table.entries],
     ]
-    header = ["metric"] + labels
     if fmt == "csv":
-        return _csv_text([header] + rows)
+        return _csv_text(grid)
     if fmt != "aligned-text":
         raise ValueError(f"unknown summary format {fmt!r}")
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
-             for cells in [header] + rows]
-    return "\n".join(lines) + "\n"
+    return _aligned(grid)
+
+
+def _aligned(grid: list[list[str]]) -> str:
+    """Text table: each column left-justified to its widest cell, two spaces apart."""
+    widths = [max(len(row[i]) for row in grid) for i in range(len(grid[0]))]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n"
+                   for row in grid)
 
 
 def emit_summary(table: SummaryTable, fmt: str, path) -> str:
@@ -602,8 +609,4 @@ def render_reference(dataset: str | None = None) -> str:
         rows = matching
     cols = ["dataset", "method", "setting", "train", "val", "test", "n_g"]
     grid = [cols] + [[r[c] for c in cols] for r in rows]
-    widths = [max(len(row[i]) for row in grid) for i in range(len(cols))]
-    body = "\n".join(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in grid
-    )
-    return "published reference values (x1e-2), not recomputed:\n" + body + "\n"
+    return "published reference values (x1e-2), not recomputed:\n" + _aligned(grid)

@@ -13,6 +13,7 @@ the IDX loader; loss evaluation stays referentially transparent.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -94,6 +95,22 @@ def _read_be32(blob: bytes, offset: int, path) -> int:
     return struct.unpack_from(">I", blob, offset)[0]
 
 
+def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], np.ndarray]:
+    """The checked header dimensions and the unsigned-byte payload of an IDX file."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    found = _read_be32(blob, 0, path)
+    if found != magic:
+        raise BadMagic(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+    dims = [_read_be32(blob, 4 * i, path) for i in range(1, 1 + n_dims)]
+    size = math.prod(dims)
+    payload = blob[4 * (1 + n_dims):]
+    if len(payload) < size:
+        kind = "pixel" if n_dims > 1 else "label"
+        raise TruncatedFile(f"{path}: {len(payload)} {kind} bytes, expected {size}")
+    return dims, np.frombuffer(payload[:size], dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path) -> RawTable:
     """Parse a big-endian IDX image/label file pair.
 
@@ -101,35 +118,12 @@ def load_idx(images_path, labels_path) -> RawTable:
     pixels in row-major order, scaled to [0, 1] by division by 255.
     Labels: magic 0x00000801, then count, then unsigned-byte labels.
     """
-    with open(images_path, "rb") as fh:
-        blob = fh.read()
-    magic = _read_be32(blob, 0, images_path)
-    if magic != IDX_IMAGES_MAGIC:
-        raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGES_MAGIC:#010x}")
-    count = _read_be32(blob, 4, images_path)
-    rows = _read_be32(blob, 8, images_path)
-    cols = _read_be32(blob, 12, images_path)
-    payload = blob[16:]
-    if len(payload) < count * rows * cols:
-        raise TruncatedFile(
-            f"{images_path}: {len(payload)} pixel bytes, expected {count * rows * cols}"
-        )
-    pixels = np.frombuffer(payload[: count * rows * cols], dtype=np.uint8)
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     features = pixels.reshape(count, rows * cols).astype(float) / 255.0
-
-    with open(labels_path, "rb") as fh:
-        blob = fh.read()
-    magic = _read_be32(blob, 0, labels_path)
-    if magic != IDX_LABELS_MAGIC:
-        raise BadMagic(f"{labels_path}: magic {magic:#010x}, expected {IDX_LABELS_MAGIC:#010x}")
-    label_count = _read_be32(blob, 4, labels_path)
-    body = blob[8:]
-    if len(body) < label_count:
-        raise TruncatedFile(f"{labels_path}: {len(body)} label bytes, expected {label_count}")
+    (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if label_count != count:
         raise CountMismatch(f"{count} images but {label_count} labels")
-    targets = np.frombuffer(body[:label_count], dtype=np.uint8).astype(float)
-    return RawTable(features, targets, source=f"idx:{images_path}")
+    return RawTable(features, labels.astype(float), source=f"idx:{images_path}")
 
 
 def load_csv(path, target_column: str) -> RawTable:
@@ -297,12 +291,3 @@ def synthesize(spec: SyntheticSpec) -> RawTable:
         source=f"synthetic(n={spec.n},d={spec.d},kappa={spec.kappa:g},"
                f"noise={spec.noise_std:g},seed={spec.seed})",
     )
-
-
-def normalize_regression_report(loss: float, y: np.ndarray) -> float:
-    """Scale a regression loss by the population variance of the targets."""
-    y = np.asarray(y, dtype=float)
-    var = float(np.mean((y - y.mean()) ** 2))
-    if var == 0.0:
-        raise ZeroVariance("targets are constant")
-    return loss / var

@@ -219,6 +219,13 @@ def val_loss(spec: LossSpec, w: np.ndarray, data: Dataset) -> float:
     return _fit_loss(spec, w, data)
 
 
+def report_losses(spec: LossSpec, w: np.ndarray, lam: float, train: Dataset,
+                  val: Dataset, test: Dataset | None) -> tuple[float, float, float | None]:
+    """Train, validation and test losses at ``w``; the test loss is None without a test split."""
+    return (train_loss(spec, w, lam, train), val_loss(spec, w, val),
+            None if test is None else val_loss(spec, w, test))
+
+
 def grad_w_train(spec: LossSpec, w: np.ndarray, lam: float, data: Dataset) -> np.ndarray:
     """Gradient of ``train_loss`` with respect to ``w``."""
     _require_role(data, ("train",))

@@ -77,6 +77,7 @@ from .model import (
     grad_lambda_val,
     grad_w_train,
     grad_w_val,
+    report_losses,
     require_finite,
     split_best_response,
     train_loss,
@@ -354,8 +355,8 @@ def _minimize_train(spec, lam, train, x0, cfg, ledger, cache, rho=0.0, shift=Non
     """Minimize L_T(x, lam) [+ u.x + (rho/2)||x - target||^2] over x.
 
     ``shift`` bundles the augmentation as (u, target); least squares is a
-    single linear solve, logistic runs damped gradient descent from x0.
-    Returns (x, truncated_by_budget).
+    single linear solve, logistic runs damped gradient descent from x0 and
+    returns its current iterate once the ledger is exhausted.
     """
     exp_lam = _exp(lam)
     if spec.kind == LEAST_SQUARES:
@@ -364,20 +365,20 @@ def _minimize_train(spec, lam, train, x0, cfg, ledger, cache, rho=0.0, shift=Non
         if shift is not None:
             u, target = shift
             b += rho * target - u
-        return np.linalg.solve(a, b), False
+        return np.linalg.solve(a, b)
 
     lip = cache["fit_lip"] + 2.0 * exp_lam + rho
     x = np.asarray(x0, dtype=float)
     for _ in range(cfg.inner_max_iters):
         if ledger.exhausted:
-            return x, True
+            return x
         g = grad_w_train(spec, x, lam, train)
         if shift is not None:
             u, target = shift
             g = g + u + rho * (x - target)
         ledger.spend(1)
         if float(np.linalg.norm(g)) <= cfg.inner_tol:
-            return x, False
+            return x
         x = x - g / lip
     raise InnerSolveFailed(
         f"gradient norm above {cfg.inner_tol:g} after {cfg.inner_max_iters} inner iterations"
@@ -401,23 +402,23 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
 
     Keeps a sign bracket for bisection whenever Newton proposes a point
     outside it; falls back to 50 plain gradient steps at delta if Newton
-    stalls. Returns (lam, truncated_by_budget).
+    stalls. Returns the current lam once the ledger is exhausted.
     """
     lam = float(lam0)
     lo, hi = -math.inf, math.inf
     for _ in range(50):
         if ledger.exhausted:
-            return lam, True
+            return lam
         g = _lam_direction(spec, br, lam, w_new, u, rho, val)
         ledger.spend(1)
         if abs(g) <= cfg.inner_tol:
-            return lam, False
+            return lam
         if g > 0:
             hi = lam
         else:
             lo = lam
         if ledger.exhausted:
-            return lam, True
+            return lam
         curv = _lam_curvature(spec, br, lam, rho, val)
         ledger.spend(1)
         cand = lam - g / curv if curv > 1e-300 else math.nan
@@ -429,11 +430,11 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
         lam = cand
     for _ in range(50):
         if ledger.exhausted:
-            return lam, True
+            return lam
         g = _lam_direction(spec, br, lam, w_new, u, rho, val)
         ledger.spend(1)
         if abs(g) <= cfg.inner_tol:
-            return lam, False
+            return lam
         lam -= cfg.delta * g
     raise InnerSolveFailed(f"lam derivative above {cfg.inner_tol:g} after Newton and fallback")
 
@@ -450,23 +451,23 @@ def my_step_full(
     """One exact-minimization iteration.
 
     ``grad_cap`` bounds the ledger units this step may spend; inner solves
-    stop early once it is hit and the returned flag reports the truncation
-    so the outer loop can stop. All four blocks always execute, so a
-    truncated step still leaves a consistent state.
+    stop early once it is hit. All four blocks always execute, so a
+    truncated step still leaves a consistent state. The third value is
+    True when the step spent all of ``grad_cap``.
     """
     lam = state.lam
     cache = _cache if _cache is not None else _solver_cache(spec, train, val)
     ledger = _Ledger(grad_cap)
 
-    v_new, trunc1 = _minimize_train(spec, lam, train, state.v, cfg, ledger, cache)
+    v_new = _minimize_train(spec, lam, train, state.v, cfg, ledger, cache)
     br = split_best_response(v_new, lam)
     gw_old = best_response(br, lam)
 
-    w_new, trunc2 = _minimize_train(
+    w_new = _minimize_train(
         spec, lam, train, state.w, cfg, ledger, cache,
         rho=cfg.rho, shift=(state.u, gw_old),
     )
-    lam_new, trunc3 = _minimize_lambda(spec, br, w_new, state.u, lam, cfg.rho, val, cfg, ledger)
+    lam_new = _minimize_lambda(spec, br, w_new, state.u, lam, cfg.rho, val, cfg, ledger)
     u_new = state.u + cfg.rho * (w_new - best_response(br, lam_new))
 
     new = MyhpoState(
@@ -480,7 +481,7 @@ def my_step_full(
         loss_eval_count=state.loss_eval_count,
     )
     require_finite(new.iter, new.lam, new.v, new.w, new.u)
-    return new, residuals(new, lam, cfg.rho), (trunc1 or trunc2 or trunc3)
+    return new, residuals(new, lam, cfg.rho), ledger.exhausted
 
 
 def myhpo_run(
@@ -522,34 +523,23 @@ def _myhpo_rows(state, spec, train, val, cfg, budget, test):
     """Step ``state`` under the budget, yielding one row per iteration."""
     full = cfg.variant == "full"
     cache = _solver_cache(spec, train, val) if full else None
-    step_cost = SIMPLIFIED_STEP_COST + (1 if cfg.fresh_w_gradient else 0)
+    # a full step spends at least one gradient and stops at its cap
+    step_cost = 1 if full else SIMPLIFIED_STEP_COST + (1 if cfg.fresh_w_gradient else 0)
     step = my_step_backtracking if cfg.variant == "simplified_backtracking" else my_step_simplified
-    while state.iter < cfg.max_iters:
-        truncated = False
+    while state.iter < cfg.max_iters and state.grad_count + step_cost <= budget:
         if full:
-            if state.grad_count >= budget:
-                return
-            state, res, truncated = my_step_full(
+            state, res, _ = my_step_full(
                 state, spec, train, val, cfg,
                 grad_cap=budget - state.grad_count, _cache=cache,
             )
         else:
-            if state.grad_count + step_cost > budget:
-                return
             state, res = step(state, spec, train, val, cfg)
-        yield TraceRow(
-            iter=state.iter,
-            n_grad=state.grad_count,
-            lam=state.lam,
-            train_loss=train_loss(spec, state.w, state.lam, train),
-            val_loss=val_loss(spec, state.w, val),
-            test_loss=None if test is None else val_loss(spec, state.w, test),
-            r_norm=res.r_norm,
-            s_norm=res.s_norm,
-            u_norm=float(np.linalg.norm(state.u)),
-            loss_eval_count=state.loss_eval_count,
-        )
-        if max(res.r_norm, res.s_norm) < cfg.eps_tol or truncated:
+        yield TraceRow(state.iter, state.grad_count, state.lam,
+                       *report_losses(spec, state.w, state.lam, train, val, test),
+                       r_norm=res.r_norm, s_norm=res.s_norm,
+                       u_norm=float(np.linalg.norm(state.u)),
+                       loss_eval_count=state.loss_eval_count)
+        if max(res.r_norm, res.s_norm) < cfg.eps_tol:
             return
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LossSpec, grad_w_train, train_loss, val_loss
+from .model import Dataset, LossSpec, grad_w_train, report_losses
 from .rng import RandomStream
 
 
@@ -106,9 +106,7 @@ def search_run(
     for lam in candidates:
         w = train_model(spec, lam, train, cfg.alpha_train, cfg.n_t)
         with np.errstate(over="ignore", invalid="ignore"):
-            tl = train_loss(spec, w, lam, train)
-            vl = val_loss(spec, w, val)
-            sl = None if test is None else val_loss(spec, w, test)
+            tl, vl, sl = report_losses(spec, w, lam, train, val, test)
         finite = bool(np.all(np.isfinite(w))) and math.isfinite(tl) and math.isfinite(vl)
         evals.append(
             CandidateEval(lam=lam, w=w, train_loss=tl, val_loss=vl,

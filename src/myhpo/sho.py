@@ -29,9 +29,8 @@ from .model import (
     best_response,
     grad_lambda_val,
     grad_w_train,
+    report_losses,
     require_finite,
-    train_loss,
-    val_loss,
 )
 from .rng import PRNG_ID, RandomStream
 from .trace import RunTrace, TraceRow, record_run
@@ -130,11 +129,5 @@ def _sho_rows(state, spec, train, val, cfg, budget, test):
     while state.grad_count + 2 <= budget and state.iter < cfg.max_iters:
         state = sho_step(state, spec, train, val, cfg, rng)
         w = best_response(state.br, state.lam)
-        yield TraceRow(
-            iter=state.iter,
-            n_grad=state.grad_count,
-            lam=state.lam,
-            train_loss=train_loss(spec, w, state.lam, train),
-            val_loss=val_loss(spec, w, val),
-            test_loss=None if test is None else val_loss(spec, w, test),
-        )
+        yield TraceRow(state.iter, state.grad_count, state.lam,
+                       *report_losses(spec, w, state.lam, train, val, test))

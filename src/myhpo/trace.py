@@ -9,11 +9,12 @@ made by backtracking; plain loss evaluations recorded for reporting are
 not algorithm cost and are not counted.
 
 On disk a trace is a CSV file whose leading lines are ``# key = value``
-comments, followed by the fixed column header. Header values escape
-backslash, carriage return and line feed as ``\\``, ``\r`` and ``\n``, so
-any string reads back unchanged. Floats are written with ``repr`` so
-rereading is bit-exact and rerunning a config reproduces byte-identical
-files.
+comments, followed by the column header: the ``TraceRow`` fields in order,
+with ``lam`` written as ``lambda``. Header values escape backslash,
+carriage return and line feed as ``\\``, ``\r`` and ``\n``, so any string
+reads back unchanged. Floats are written in their shortest round-trip
+form (``str`` of a float is its ``repr``), so rereading is bit-exact and
+rerunning a config reproduces byte-identical files.
 
 ``record_run`` is the one run loop behind every iterative solver: it
 records the rows a solver yields and turns blowup and solver stop
@@ -25,28 +26,18 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .model import NonFiniteIterate
 
-TRACE_COLUMNS = (
-    "iter",
-    "n_grad",
-    "lambda",
-    "train_loss",
-    "val_loss",
-    "test_loss",
-    "r_norm",
-    "s_norm",
-    "u_norm",
-    "loss_eval_count",
-)
-
 
 @dataclass
 class TraceRow:
+    """One iteration of a run; its fields, in order, are the trace columns."""
+
     iter: int
     n_grad: int
     lam: float
@@ -59,22 +50,16 @@ class TraceRow:
     loss_eval_count: int = 0
 
     def as_cells(self) -> list[str]:
-        return [
-            str(self.iter),
-            str(self.n_grad),
-            repr(self.lam),
-            repr(self.train_loss),
-            repr(self.val_loss),
-            "" if self.test_loss is None else repr(self.test_loss),
-            "" if self.r_norm is None else repr(self.r_norm),
-            "" if self.s_norm is None else repr(self.s_norm),
-            "" if self.u_norm is None else repr(self.u_norm),
-            str(self.loss_eval_count),
-        ]
+        return ["" if value is None else str(value) for value in _values(self)]
 
 
-def _cell_float(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+# a cell is read back by its field's type
+_READERS = {"int": int, "float": float,
+            "float | None": lambda cell: None if cell == "" else float(cell)}
+_FIELDS = fields(TraceRow)
+TRACE_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in _FIELDS)
+_values = attrgetter(*(f.name for f in _FIELDS))
+_READ = [_READERS[f.type] for f in _FIELDS]
 
 
 def _escape(value) -> str:
@@ -158,21 +143,13 @@ class RunTrace:
                     saw_columns = True
                     continue
                 cells = line.split(",")
-                rows.append(
-                    TraceRow(
-                        iter=int(cells[0]),
-                        n_grad=int(cells[1]),
-                        lam=float(cells[2]),
-                        train_loss=float(cells[3]),
-                        val_loss=float(cells[4]),
-                        test_loss=_cell_float(cells[5]),
-                        r_norm=_cell_float(cells[6]),
-                        s_norm=_cell_float(cells[7]),
-                        u_norm=_cell_float(cells[8]),
-                        loss_eval_count=int(cells[9]),
-                    )
-                )
-        trace = cls(
+                try:
+                    if len(cells) != len(TRACE_COLUMNS):
+                        raise ValueError(f"{len(cells)} cells, expected {len(TRACE_COLUMNS)}")
+                    rows.append(TraceRow(*[read(c) for read, c in zip(_READ, cells)]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: trace row {len(rows) + 1}: {exc}") from None
+        return cls(
             solver=header.get("solver", ""),
             label=header.get("label", ""),
             seed=int(header.get("seed", "0")),
@@ -180,9 +157,8 @@ class RunTrace:
             prng=header.get("prng") or None,
             diverged=header.get("diverged", "false") == "true",
             note=header.get("note", ""),
+            rows=rows,
         )
-        trace.rows = rows
-        return trace
 
 
 def record_run(trace: RunTrace, rows: Iterable[TraceRow], stop_errors: tuple = ()) -> RunTrace:

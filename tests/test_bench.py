@@ -20,8 +20,8 @@ from myhpo.bench import (
     run_experiment,
     summarize_traces,
 )
-from myhpo.data import normalize_regression_report
-from myhpo.trace import RunTrace, TraceRow
+from myhpo.data import ZeroVariance
+from myhpo.trace import TRACE_COLUMNS, RunTrace, TraceRow
 
 MINIMAL = """
 problem.kind = synthetic
@@ -107,6 +107,15 @@ class TestParseConfig:
     def test_type_errors_are_schema_errors(self):
         with pytest.raises(SchemaError):
             parse_config_text(MINIMAL.replace("budget_n_g = 100", "budget_n_g = lots"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("solver[0].alpha", "nan"), ("solver[0].rho", "inf"),
+        ("problem.kappa", "-inf"), ("problem.train_fraction", "NaN"),
+    ])
+    def test_non_finite_floats_rejected(self, key, value):
+        with pytest.raises(SchemaError) as err:
+            parse_config_text(MINIMAL + f"{key} = {value}\n")
+        assert err.value.key == key and "finite" in str(err.value)
 
     def test_noncontiguous_solver_indices(self):
         with pytest.raises(SchemaError):
@@ -230,6 +239,31 @@ solver[0].name = myhpo_bt
         assert traces[0].rows, "solver should produce rows on csv data"
         assert len(summary.entries) == 1
 
+    @pytest.mark.parametrize("targets, extra", [
+        ("constant", ""),  # every split has constant targets
+        ("varied", "problem.counts = 20,8,1\n"),  # a single test row
+    ], ids=["constant-target", "single-test-row"])
+    def test_zero_variance_regression_split_rejected(self, tmp_path, targets, extra):
+        rng = np.random.default_rng(0)
+        lines = ["f0,f1,y"]
+        for i in range(30):
+            y = 2.5 if targets == "constant" else float(i)
+            lines.append(f"{rng.standard_normal()},{rng.standard_normal()},{y}")
+        csv_path = tmp_path / "reg.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        text = f"""
+problem.kind = csv
+problem.path = {csv_path}
+problem.target = y
+budget_n_g = 20
+output_dir = {tmp_path / "run"}
+solver[0].name = sho
+""" + extra
+        with pytest.raises(ZeroVariance, match="(train|test) split targets are constant"):
+            run_experiment(parse_config_text(text))
+        # raised before the repetition's solvers ran: no trace was written
+        assert not [n for n in os.listdir(tmp_path / "run") if n.endswith(".trace.csv")]
+
     def test_synthetic_rejects_class_mapping(self):
         with pytest.raises(SchemaError):
             parse_config_text(MINIMAL + "problem.class_a = 0\nproblem.class_b = 1\n")
@@ -288,12 +322,9 @@ class TestSummaries:
         traces, summary = run_experiment(parse_config_text(text))
         trace = traces[0]
         row = trace.final_finite_row()
-        # recompute through the normalization operation itself: a variance-v
-        # target vector is [0, 2*sqrt(v)] in population convention
+        # a variance-v target vector is [0, 2*sqrt(v)] in population convention
         var_val = float(trace.meta["var_val"])
-        expected = normalize_regression_report(
-            row.val_loss, np.array([0.0, 2.0 * math.sqrt(var_val)])
-        )
+        expected = row.val_loss / np.var([0.0, 2.0 * math.sqrt(var_val)])
         entry = [e for e in summary.entries if e.label == trace.label][0]
         assert math.isclose(entry.val_mean, expected, rel_tol=1e-12)
 
@@ -392,6 +423,40 @@ class TestTraceIO:
             back = RunTrace.read_csv(path)
         assert back.note == note
         assert back.meta == meta
+
+    def test_columns_are_the_row_fields(self):
+        assert TRACE_COLUMNS == ("iter", "n_grad", "lambda", "train_loss", "val_loss",
+                                 "test_loss", "r_norm", "s_norm", "u_norm", "loss_eval_count")
+
+    @given(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=2**40),
+        st.integers(min_value=0, max_value=2**40),
+        st.floats(), st.floats(), st.floats(),
+        st.none() | st.floats(), st.none() | st.floats(),
+        st.none() | st.floats(), st.none() | st.floats(),
+        st.integers(min_value=0, max_value=2**40),
+    ), max_size=5))
+    def test_rows_survive_write_and_read(self, rows):
+        t = RunTrace(solver="myhpo_bt", label="bt", seed=0)
+        t.rows = [TraceRow(*cells) for cells in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.trace.csv")
+            t.write_csv(path)
+            back = RunTrace.read_csv(path)
+        assert [r.as_cells() for r in back.rows] == [r.as_cells() for r in t.rows]
+
+    @pytest.mark.parametrize("cut", [-2, -40, -90])  # -2 leaves the last cell empty
+    def test_truncated_row_names_file_and_row(self, tmp_path, cut):
+        t = RunTrace(solver="myhpo_bt", label="bt", seed=0)
+        for i in (1, 2):
+            t.append(TraceRow(iter=i, n_grad=2 * i, lam=-1.0 / 3, train_loss=0.1 / 3,
+                              val_loss=0.2 / 3, test_loss=None, r_norm=1e-3 / 3,
+                              s_norm=2e-3 / 3, u_norm=0.5 / 3, loss_eval_count=6))
+        path = tmp_path / "t.trace.csv"
+        t.write_csv(path)
+        path.write_bytes(path.read_bytes()[:cut])  # cut inside the second row
+        with pytest.raises(ValueError, match=r"t\.trace\.csv: trace row 2: "):
+            RunTrace.read_csv(path)
 
     def test_n_grad_must_increase(self):
         t = RunTrace(solver="sho", label="s", seed=0)

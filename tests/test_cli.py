@@ -54,6 +54,53 @@ def test_seed_override(tmp_path, capsys):
     assert "seed = 99" in capsys.readouterr().out
 
 
+def _hash(out):
+    return [line for line in out.splitlines() if line.startswith("config_hash = ")]
+
+
+def test_seed_override_rehashes(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["--seed", "7", "validate", str(cfg)]) == 0
+    overridden = capsys.readouterr().out
+    seeded = write_config(tmp_path, CONFIG.format(out=tmp_path / "out") + "seed = 7\n")
+    assert main(["validate", str(seeded)]) == 0
+    from_file = capsys.readouterr().out
+    assert overridden == from_file
+    assert main(["validate", str(write_config(tmp_path))]) == 0
+    assert _hash(capsys.readouterr().out) != _hash(from_file)
+
+
+def test_run_seed_override_writes_its_hash(tmp_path, capsys):
+    assert main(["--seed", "7", "run", str(write_config(tmp_path))]) == 0
+    seeded = write_config(tmp_path, CONFIG.format(out=tmp_path / "out") + "seed = 7\n")
+    capsys.readouterr()
+    assert main(["validate", str(seeded)]) == 0
+    expected = _hash(capsys.readouterr().out)[0]
+    out_dir = tmp_path / "out"
+    assert (out_dir / "config_resolved.txt").read_text().splitlines()[-1] == expected
+    header = (out_dir / "sho__rep000.trace.csv").read_text()
+    assert f"# meta.{expected}" in header
+
+
+def test_constant_regression_targets_exit_code(tmp_path, capsys):
+    data = tmp_path / "flat.csv"
+    data.write_text("x,y\n" + "".join(f"{i},1.5\n" for i in range(12)))
+    text = (f"problem.kind = csv\nproblem.path = {data}\nproblem.target = y\n"
+            f"budget_n_g = 10\noutput_dir = {tmp_path / 'out'}\nsolver[0].name = sho\n")
+    assert main(["run", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: train split targets are constant")
+
+
+def test_truncated_trace_exit_code(tmp_path, capsys):
+    main(["run", str(write_config(tmp_path))])
+    capsys.readouterr()
+    trace = tmp_path / "out" / "sho__rep000.trace.csv"
+    trace.write_bytes(trace.read_bytes()[:-30])
+    assert main(["summarize", str(tmp_path / "out")]) == 1
+    assert "sho__rep000.trace.csv: trace row" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = write_config(tmp_path, CONFIG.format(out=tmp_path / "o") + "solver[0].gamma = 1\n")
     assert main(["run", str(bad)]) == 1

@@ -15,11 +15,9 @@ from myhpo.data import (
     SplitSpec,
     SyntheticSpec,
     TruncatedFile,
-    ZeroVariance,
     load_csv,
     load_idx,
     make_classification,
-    normalize_regression_report,
     split,
     synthesize,
 )
@@ -80,12 +78,16 @@ class TestIdx:
             load_idx(tmp_path / "img", tmp_path / "lab")
 
     def test_truncated_payload(self, tmp_path):
-        with open(tmp_path / "img", "wb") as fh:
-            fh.write(struct.pack(">IIII", 0x00000803, 2, 2, 2))
-            fh.write(bytes([1, 2, 3]))  # needs 8 bytes
+        # one case per file: the image payload, then the label payload
+        write_idx_images(tmp_path / "img", np.zeros((2, 2, 2), dtype=np.uint8))
         write_idx_labels(tmp_path / "lab", [0, 1])
-        with pytest.raises(TruncatedFile):
-            load_idx(tmp_path / "img", tmp_path / "lab")
+        for name, kind, size in (("img", "pixel", 8), ("lab", "label", 2)):
+            path = tmp_path / name
+            intact = path.read_bytes()
+            path.write_bytes(intact[:-1])
+            with pytest.raises(TruncatedFile, match=f"{size - 1} {kind} bytes, expected {size}"):
+                load_idx(tmp_path / "img", tmp_path / "lab")
+            path.write_bytes(intact)
 
     def test_truncated_header(self, tmp_path):
         with open(tmp_path / "img", "wb") as fh:
@@ -233,20 +235,6 @@ class TestSynthesize:
     def test_rejects_rank_deficient_request(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n=4, d=8)
-
-
-class TestNormalization:
-    def test_unit_variance_is_identity(self):
-        y = np.array([0.0, 2.0])  # population variance exactly 1
-        assert normalize_regression_report(0.5, y) == 0.5
-
-    def test_general_scaling(self):
-        y = np.array([0.0, 4.0])  # variance 4
-        assert normalize_regression_report(1.0, y) == 0.25
-
-    def test_constant_targets_rejected(self):
-        with pytest.raises(ZeroVariance):
-            normalize_regression_report(1.0, np.full(5, 3.3))
 
 
 class TestRawTable:
