@@ -51,7 +51,7 @@ import io
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -124,7 +124,17 @@ class ExperimentConfig:
     seed: int
     output_dir: str
     solvers: list[SolverBlock]
-    resolved: dict = field(default_factory=dict)
+
+    @property
+    def resolved(self) -> dict:
+        """Every resolved value by its config key, as echoed and hashed."""
+        resolved = {"budget_n_g": self.budget_n_g, "repetitions": self.repetitions,
+                    "seed": self.seed, "output_dir": self.output_dir}
+        resolved.update((f"problem.{k}", v) for k, v in self.problem.items())
+        for i, block in enumerate(self.solvers):
+            block_values = {"name": block.name, "label": block.label, **block.params}
+            resolved.update((f"solver[{i}].{k}", v) for k, v in block_values.items())
+        return resolved
 
     @property
     def config_hash(self) -> str:
@@ -133,6 +143,11 @@ class ExperimentConfig:
             "\n".join(f"{k} = {v}" for k, v in sorted(self.resolved.items())
                       if k != "output_dir").encode()
         ).hexdigest()[:12]
+
+    def resolved_text(self) -> str:
+        """``key = value`` lines of ``resolved``, sorted, then the ``config_hash`` line."""
+        lines = [f"{k} = {v}" for k, v in sorted(self.resolved.items())]
+        return "\n".join(lines + [f"config_hash = {self.config_hash}"]) + "\n"
 
 
 def _parse_flat(text: str) -> dict[str, str]:
@@ -215,21 +230,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     seed = top.get("seed", 0)
     output_dir = top.get("output_dir", "bench_out")
 
-    problem = _resolve_problem(problem)
-    solvers = _resolve_solvers(solver_raw, budget)
-
-    resolved = {"budget_n_g": budget, "repetitions": repetitions,
-                "seed": seed, "output_dir": output_dir}
-    for k, v in sorted(problem.items()):
-        resolved[f"problem.{k}"] = v
-    for i, block in enumerate(solvers):
-        resolved[f"solver[{i}].name"] = block.name
-        resolved[f"solver[{i}].label"] = block.label
-        for k, v in sorted(block.params.items()):
-            resolved[f"solver[{i}].{k}"] = v
     return ExperimentConfig(
-        problem=problem, budget_n_g=budget, repetitions=repetitions, seed=seed,
-        output_dir=output_dir, solvers=solvers, resolved=resolved,
+        problem=_resolve_problem(problem), budget_n_g=budget, repetitions=repetitions,
+        seed=seed, output_dir=output_dir, solvers=_resolve_solvers(solver_raw, budget),
     )
 
 
@@ -266,7 +269,8 @@ def _resolve_problem(problem: dict) -> dict:
         parts = str(out["counts"]).split(",")
         if len(parts) != 3:
             raise SchemaError("problem.counts", "expected three comma-separated counts")
-        out["counts"] = tuple(_coerce("problem.counts", p.strip(), int) for p in parts)
+        # echoed as it is written, so the echo parses back
+        out["counts"] = ",".join(str(_coerce("problem.counts", p.strip(), int)) for p in parts)
     # drop keys that do not apply to this kind so the echo stays honest
     scoped = {"synthetic": ("n", "d", "kappa", "noise_std"),
               "csv": ("path", "target", "class_a", "class_b"),
@@ -306,6 +310,10 @@ def _resolve_solvers(solver_raw: dict[int, dict], budget: int) -> list[SolverBlo
             if key not in params:
                 raise SchemaError(f"solver[{i}].{key}", f"not a parameter of {name}")
             params[key] = _coerce(f"solver[{i}].{key}", value, type(params[key]))
+        try:
+            _block_config(name, params, seed=0)
+        except ValueError as exc:
+            raise SchemaError(f"solver[{i}]", str(exc)) from None
         blocks.append(SolverBlock(name=name, label=label, params=params))
     return blocks
 
@@ -332,7 +340,7 @@ def _build_problem(problem: dict, run_seed: int, table: RawTable | None):
     split_spec = SplitSpec(
         train_fraction=problem["train_fraction"],
         val_fraction=problem["val_fraction"],
-        counts=problem.get("counts"),
+        counts=tuple(map(int, problem["counts"].split(","))) if "counts" in problem else None,
         seed=run_seed,
         stratified=problem["stratified"],
     )
@@ -366,23 +374,27 @@ def _search_trace(name: str, label: str, seed: int, meta: dict, result,
     return trace
 
 
+def _block_config(name: str, params: dict, seed: int):
+    """The config object of a solver block; its ``__post_init__`` checks the values."""
+    params = {k: v for k, v in params.items() if k != "lambda0"}
+    if SOLVERS[name] is MyhpoConfig:
+        return MyhpoConfig(**params, variant=_VARIANT_OF[name])
+    return SOLVERS[name](**params, seed=seed)
+
+
 def _run_block(block: SolverBlock, spec, train, val, test, budget: int,
                run_seed: int, meta: dict) -> RunTrace:
-    params = dict(block.params)
-    cls = SOLVERS[block.name]
-    if cls is SearchConfig:
-        scfg = SearchConfig(**params, seed=run_seed)
-        candidates = (grid_candidates if block.name == "grid" else random_candidates)(scfg)
-        result = search_run(spec, candidates, train, val, test, scfg)
-        meta = {**meta, **params, "budget": budget,
+    cfg = _block_config(block.name, block.params, run_seed)
+    if isinstance(cfg, SearchConfig):
+        candidates = (grid_candidates if block.name == "grid" else random_candidates)(cfg)
+        result = search_run(spec, candidates, train, val, test, cfg)
+        meta = {**meta, **block.params, "budget": budget,
                 "diverged_candidates": sum(c.diverged for c in result.candidates)}
-        return _search_trace(block.name, block.label, run_seed, meta, result, scfg.n_t)
-    lam0 = params.pop("lambda0")
-    if cls is ShoConfig:
-        return sho_run(ShoState.initial(train.d, lam0=lam0), spec, train, val,
-                       ShoConfig(**params, seed=run_seed), budget,
+        return _search_trace(block.name, block.label, run_seed, meta, result, cfg.n_t)
+    lam0 = block.params["lambda0"]
+    if isinstance(cfg, ShoConfig):
+        return sho_run(ShoState.initial(train.d, lam0=lam0), spec, train, val, cfg, budget,
                        test=test, label=block.label, meta=meta)
-    cfg = MyhpoConfig(**params, variant=_VARIANT_OF[block.name])
     return myhpo_run(MyhpoState.initial(train.d, lam0=lam0), spec, train, val, cfg, budget,
                      test=test, label=block.label, meta=meta, seed=run_seed)
 
@@ -405,18 +417,17 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True):
         os.makedirs(cfg.output_dir, exist_ok=True)
         log_path = os.path.join(cfg.output_dir, "config_resolved.txt")
         with open(log_path, "w", encoding="utf-8") as fh:
-            for k, v in sorted(cfg.resolved.items()):
-                fh.write(f"{k} = {v}\n")
-            fh.write(f"config_hash = {cfg.config_hash}\n")
+            fh.write(cfg.resolved_text())
     # a file-backed table is read once; a synthetic one is drawn per run seed
     table = None if cfg.problem["kind"] == "synthetic" else _load_table(cfg.problem)
+    config_hash = cfg.config_hash
     for rep in range(cfg.repetitions):
         run_seed = cfg.seed + rep
         spec, train, val, test, base_meta = _build_problem(cfg.problem, run_seed, table)
         base_meta["budget_n_g"] = cfg.budget_n_g
         for i, block in enumerate(cfg.solvers):
             meta = dict(base_meta, block_index=i, repetition=rep, run_seed=run_seed,
-                        config_hash=cfg.config_hash)
+                        config_hash=config_hash)
             try:
                 trace = _run_block(block, spec, train, val, test, cfg.budget_n_g,
                                    run_seed, meta)
@@ -451,22 +462,20 @@ class SummaryTable:
     entries: list[SolverSummary]
 
 
-def _final_values(trace: RunTrace):
+def _finals(trace: RunTrace):
+    """Final (train, val, test, iter), regression losses over their split's variance."""
     row = trace.final_finite_row()
     if row is None:
         return math.nan, math.nan, math.nan, 0
-    test = row.test_loss if row.test_loss is not None else math.nan
-    return row.train_loss, row.val_loss, test, row.iter
-
-
-def _normalizers(trace: RunTrace):
+    losses = (row.train_loss, row.val_loss,
+              row.test_loss if row.test_loss is not None else math.nan)
     if trace.meta.get("loss") == LEAST_SQUARES:
-        return (float(trace.meta["var_train"]), float(trace.meta["var_val"]),
-                float(trace.meta["var_test"]))
-    return 1.0, 1.0, 1.0
+        losses = tuple(x / float(trace.meta[f"var_{split}"])
+                       for x, split in zip(losses, ("train", "val", "test")))
+    return (*losses, row.iter)
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
+def _mean_std(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -489,25 +498,11 @@ def summarize_traces(traces: list[RunTrace]) -> SummaryTable:
 
     entries = []
     for label, group in groups.items():
-        finals = {"train": [], "val": [], "test": []}
-        iters = []
-        for trace in group:
-            tr, vl, te, it = _final_values(trace)
-            nt, nv, ns = _normalizers(trace)
-            finals["train"].append(tr / nt)
-            finals["val"].append(vl / nv)
-            finals["test"].append(te / ns)
-            iters.append(float(it))
-        train_mean, train_std = _mean_std(finals["train"])
-        val_mean, val_std = _mean_std(finals["val"])
-        test_mean, test_std = _mean_std(finals["test"])
+        train, val, test, iters = zip(*map(_finals, group))
         entries.append(SolverSummary(
-            label=label, solver=group[0].solver, runs=len(group),
-            train_mean=train_mean, train_std=train_std,
-            val_mean=val_mean, val_std=val_std,
-            test_mean=test_mean, test_std=test_std,
-            mean_iters=float(np.mean(iters)) if iters else 0.0,
-            diverged=sum(t.diverged for t in group),
+            label, group[0].solver, len(group),
+            *_mean_std(train), *_mean_std(val), *_mean_std(test),
+            mean_iters=float(np.mean(iters)), diverged=sum(t.diverged for t in group),
         ))
     return SummaryTable(entries=entries)
 

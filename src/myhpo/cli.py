@@ -17,26 +17,30 @@ from . import bench
 from .gradcheck import run_gradcheck
 
 
-def _cmd_run(args) -> int:
+def _config(args) -> bench.ExperimentConfig:
     cfg = bench.parse_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.resolved["seed"] = args.seed
-    traces, summary = bench.run_experiment(cfg)
-    bench.emit_summary(summary, "csv", os.path.join(cfg.output_dir, "summary.csv"))
-    bench.emit_summary(summary, "aligned-text", os.path.join(cfg.output_dir, "summary.txt"))
+    return cfg
+
+
+def _write_summary(summary, directory) -> None:
+    """Write ``summary.csv`` and ``summary.txt`` to ``directory`` and print the text."""
+    bench.emit_summary(summary, "csv", os.path.join(directory, "summary.csv"))
+    bench.emit_summary(summary, "aligned-text", os.path.join(directory, "summary.txt"))
     print(bench.render_summary(summary, "aligned-text"), end="")
+
+
+def _cmd_run(args) -> int:
+    cfg = _config(args)
+    traces, summary = bench.run_experiment(cfg)
+    _write_summary(summary, cfg.output_dir)
     print(f"wrote {len(traces)} trace file(s) to {cfg.output_dir}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    cfg = bench.parse_config(args.config)
-    if args.seed is not None:
-        cfg.resolved["seed"] = args.seed
-    for key in sorted(cfg.resolved):
-        print(f"{key} = {cfg.resolved[key]}")
-    print(f"config_hash = {cfg.config_hash}")
+    print(_config(args).resolved_text(), end="")
     return 0
 
 
@@ -45,10 +49,7 @@ def _cmd_summarize(args) -> int:
     if not traces:
         print(f"no trace files under {args.directory}", file=sys.stderr)
         return 2
-    summary = bench.summarize_traces(traces)
-    bench.emit_summary(summary, "csv", os.path.join(args.directory, "summary.csv"))
-    bench.emit_summary(summary, "aligned-text", os.path.join(args.directory, "summary.txt"))
-    print(bench.render_summary(summary, "aligned-text"), end="")
+    _write_summary(bench.summarize_traces(traces), args.directory)
     if args.reference:
         print()
         print(bench.render_reference(args.reference), end="")

@@ -131,10 +131,6 @@ class BestResponse:
                 f"phi1 has length {self.phi1.shape[0]} but phi0 has {self.phi0.shape[0]}"
             )
 
-    @property
-    def d(self) -> int:
-        return self.phi1.shape[0]
-
 
 def best_response(br: BestResponse, lam: float) -> np.ndarray:
     """Evaluate the hypernetwork: ``lam * phi1 + phi0``."""

@@ -93,8 +93,6 @@ VARIANT_SOLVERS = {
 }
 VARIANTS = tuple(VARIANT_SOLVERS)
 
-SIMPLIFIED_STEP_COST = 2  # training gradient + validation gradient
-
 
 class InnerSolveFailed(RuntimeError):
     """An inner minimization exhausted its iteration cap above tolerance."""
@@ -179,6 +177,38 @@ def residuals(state_new: MyhpoState, lambda_old: float, rho: float) -> Residuals
     return Residuals(r=r, s=s)
 
 
+def _advance(state, v_new, w_new, lam_new, br, rho, grads, outcomes=None):
+    """Close an iteration: the consensus dual update, then the residuals.
+
+    ``grads`` is the step's ledger cost and ``outcomes`` its backtracked
+    block outcomes, whose merit evaluations join ``loss_eval_count``.
+    """
+    new = MyhpoState(
+        v=v_new,
+        w=w_new,
+        lam=lam_new,
+        u=state.u + rho * (w_new - best_response(br, lam_new)),
+        br=br,
+        iter=state.iter + 1,
+        grad_count=state.grad_count + grads,
+        loss_eval_count=state.loss_eval_count + sum(o.evals for o in outcomes or ()),
+        last_backtrack=outcomes,
+    )
+    require_finite(new.iter, new.lam, new.v, new.w, new.u)
+    return new, residuals(new, state.lam, rho)
+
+
+def _step_cost(cfg: MyhpoConfig) -> int:
+    """Gradients a simplified step spends: training and validation, plus a fresh
+    training gradient at ``w`` with ``fresh_w_gradient``."""
+    return 2 + (1 if cfg.fresh_w_gradient else 0)
+
+
+def _augmented(f: float, u: np.ndarray, rho: float, slack: np.ndarray) -> float:
+    """Coupled merit ``f + u.slack + (rho/2)||slack||^2``, summed in that order."""
+    return f + float(u @ slack) + 0.5 * rho * float(slack @ slack)
+
+
 def _lam_direction(
     spec: LossSpec,
     br: BestResponse,
@@ -248,52 +278,22 @@ def _simplified_step(state, spec, train, val, cfg, line_search):
     br = split_best_response(v_new, lam)
     gw_old = best_response(br, lam)
 
-    grads = SIMPLIFIED_STEP_COST
-    g_for_w = g_t
-    if cfg.fresh_w_gradient:
-        g_for_w = grad_w_train(spec, state.w, lam, train)
-        grads += 1
+    g_for_w = grad_w_train(spec, state.w, lam, train) if cfg.fresh_w_gradient else g_t
 
     def w_merit(x):
-        slack = x - gw_old
-        return (
-            train_loss(spec, x, lam, train)
-            + float(state.u @ slack)
-            + 0.5 * cfg.rho * float(slack @ slack)
-        )
+        return _augmented(train_loss(spec, x, lam, train), state.u, cfg.rho, x - gw_old)
 
     w_dir = g_for_w + state.u + cfg.rho * (state.w - gw_old)
     w_new, out_w = line_search(state.w, w_dir, cfg.beta, w_merit, cfg.max_halvings)
 
     def lam_merit(t):
         gw = best_response(br, t)
-        slack = w_new - gw
-        return (
-            val_loss(spec, gw, val)
-            + float(state.u @ slack)
-            + 0.5 * cfg.rho * float(slack @ slack)
-        )
+        return _augmented(val_loss(spec, gw, val), state.u, cfg.rho, w_new - gw)
 
     lam_dir = _lam_direction(spec, br, lam, w_new, state.u, cfg.rho, val)
     lam_new, out_l = line_search(lam, lam_dir, cfg.delta, lam_merit, cfg.max_halvings)
-    lam_new = float(lam_new)
-
-    u_new = state.u + cfg.rho * (w_new - best_response(br, lam_new))
-
     outcomes = None if out_v is None else (out_v, out_w, out_l)
-    new = MyhpoState(
-        v=v_new,
-        w=w_new,
-        lam=lam_new,
-        u=u_new,
-        br=br,
-        iter=state.iter + 1,
-        grad_count=state.grad_count + grads,
-        loss_eval_count=state.loss_eval_count + sum(o.evals for o in outcomes or ()),
-        last_backtrack=outcomes,
-    )
-    require_finite(new.iter, new.lam, new.v, new.w, new.u)
-    return new, residuals(new, lam, cfg.rho)
+    return _advance(state, v_new, w_new, float(lam_new), br, cfg.rho, _step_cost(cfg), outcomes)
 
 
 def my_step_simplified(
@@ -468,20 +468,8 @@ def my_step_full(
         rho=cfg.rho, shift=(state.u, gw_old),
     )
     lam_new = _minimize_lambda(spec, br, w_new, state.u, lam, cfg.rho, val, cfg, ledger)
-    u_new = state.u + cfg.rho * (w_new - best_response(br, lam_new))
-
-    new = MyhpoState(
-        v=v_new,
-        w=w_new,
-        lam=lam_new,
-        u=u_new,
-        br=br,
-        iter=state.iter + 1,
-        grad_count=state.grad_count + ledger.spent,
-        loss_eval_count=state.loss_eval_count,
-    )
-    require_finite(new.iter, new.lam, new.v, new.w, new.u)
-    return new, residuals(new, lam, cfg.rho), ledger.exhausted
+    new, res = _advance(state, v_new, w_new, lam_new, br, cfg.rho, ledger.spent)
+    return new, res, ledger.exhausted
 
 
 def myhpo_run(
@@ -524,7 +512,7 @@ def _myhpo_rows(state, spec, train, val, cfg, budget, test):
     full = cfg.variant == "full"
     cache = _solver_cache(spec, train, val) if full else None
     # a full step spends at least one gradient and stops at its cap
-    step_cost = 1 if full else SIMPLIFIED_STEP_COST + (1 if cfg.fresh_w_gradient else 0)
+    step_cost = 1 if full else _step_cost(cfg)
     step = my_step_backtracking if cfg.variant == "simplified_backtracking" else my_step_simplified
     while state.iter < cfg.max_iters and state.grad_count + step_cost <= budget:
         if full:

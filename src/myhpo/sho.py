@@ -35,6 +35,8 @@ from .model import (
 from .rng import PRNG_ID, RandomStream
 from .trace import RunTrace, TraceRow, record_run
 
+STEP_COST = 2  # training gradient + validation gradient
+
 
 @dataclass
 class ShoConfig:
@@ -91,7 +93,7 @@ def sho_step(
         br=br_new,
         lam=lam_new,
         iter=state.iter + 1,
-        grad_count=state.grad_count + 2,
+        grad_count=state.grad_count + STEP_COST,
     )
     require_finite(new.iter, new.lam, new.br.phi1, new.br.phi0)
     return new
@@ -126,7 +128,7 @@ def sho_run(
 def _sho_rows(state, spec, train, val, cfg, budget, test):
     """Step ``state`` under the budget, yielding one row per iteration."""
     rng = RandomStream(cfg.seed)
-    while state.grad_count + 2 <= budget and state.iter < cfg.max_iters:
+    while state.grad_count + STEP_COST <= budget and state.iter < cfg.max_iters:
         state = sho_step(state, spec, train, val, cfg, rng)
         w = best_response(state.br, state.lam)
         yield TraceRow(state.iter, state.grad_count, state.lam,

@@ -14,7 +14,8 @@ with ``lam`` written as ``lambda``. Header values escape backslash,
 carriage return and line feed as ``\\``, ``\r`` and ``\n``, so any string
 reads back unchanged. Floats are written in their shortest round-trip
 form (``str`` of a float is its ``repr``), so rereading is bit-exact and
-rerunning a config reproduces byte-identical files.
+rerunning a config reproduces byte-identical files. A file that ends
+before its column header does not read.
 
 ``record_run`` is the one run loop behind every iterative solver: it
 records the rows a solver yields and turns blowup and solver stop
@@ -149,6 +150,8 @@ class RunTrace:
                     rows.append(TraceRow(*[read(c) for read, c in zip(_READ, cells)]))
                 except ValueError as exc:
                     raise ValueError(f"{path}: trace row {len(rows) + 1}: {exc}") from None
+        if not saw_columns:
+            raise ValueError(f"{path}: the trace ends before its column line")
         return cls(
             solver=header.get("solver", ""),
             label=header.get("label", ""),

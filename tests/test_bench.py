@@ -134,6 +134,12 @@ class TestParseConfig:
         params = parse_config_text(text).solvers[0].params
         assert params["alpha"] == 0.5 and params["beta"] == 0.25
 
+    def test_resolved_follows_seed(self):
+        cfg = parse_config_text(MINIMAL)
+        cfg.seed = 7
+        assert cfg.resolved["seed"] == 7
+        assert cfg.config_hash == parse_config_text(MINIMAL + "seed = 7\n").config_hash
+
     def test_solver_params_are_config_fields(self):
         cfg = parse_config_text(MINIMAL + "solver[1].name = myhpo_full\n"
                                 "solver[1].fresh_w_gradient = yes\nsolver[1].max_iters = 7\n")

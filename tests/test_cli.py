@@ -1,5 +1,12 @@
+import contextlib
+import io
 import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from myhpo.bench import SOLVER_NAMES
 from myhpo.cli import main
 
 CONFIG = """
@@ -99,6 +106,65 @@ def test_truncated_trace_exit_code(tmp_path, capsys):
     trace.write_bytes(trace.read_bytes()[:-30])
     assert main(["summarize", str(tmp_path / "out")]) == 1
     assert "sho__rep000.trace.csv: trace row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", ["meta-line", "empty"])
+def test_trace_cut_in_header_exit_code(tmp_path, capsys, cut):
+    main(["run", str(write_config(tmp_path))])
+    capsys.readouterr()
+    trace = tmp_path / "out" / "sho__rep000.trace.csv"
+    blob = trace.read_bytes()
+    trace.write_bytes(blob[:blob.index(b"# meta.budget") + 10] if cut == "meta-line" else b"")
+    assert main(["summarize", str(tmp_path / "out")]) == 1
+    assert "sho__rep000.trace.csv: the trace ends before its column line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, param", [
+    ("myhpo_c", "rho = -1"), ("random", "lo = 6"), ("myhpo_bt", "max_iters = 0"),
+    ("myhpo_bt", "max_halvings = 0"), ("myhpo_c", "eps_tol = 0"),
+])
+def test_bad_solver_params_exit_before_writing(tmp_path, capsys, name, param):
+    text = CONFIG.format(out=tmp_path / "out").replace("name = sho", f"name = {name}")
+    bad = write_config(tmp_path, text + f"solver[0].{param}\n")
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("config error: solver[0]: ")
+    assert not (tmp_path / "out").exists()
+
+
+def _validate(path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", str(path)]) == 0
+    return out.getvalue()
+
+
+def test_counts_echo_as_written(tmp_path):
+    cfg = write_config(tmp_path, CONFIG.format(out="out") + "problem.counts = 12, 6,6\n")
+    assert "problem.counts = 12,6,6\n" in _validate(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(names=st.lists(st.sampled_from(SOLVER_NAMES), min_size=1, max_size=4),
+       labels=st.lists(st.from_regex(r"[A-Za-z0-9_.-]{1,10}", fullmatch=True),
+                       min_size=4, max_size=4, unique=True),
+       seed=st.integers(0, 2**31), budget=st.integers(2, 10**6),
+       counts=st.none() | st.lists(st.integers(1, 10**4), min_size=3, max_size=3))
+def test_validate_echo_parses_back(names, labels, seed, budget, counts):
+    lines = ["problem.kind = synthetic", "problem.n = 30", "problem.d = 4",
+             f"budget_n_g = {budget}", f"seed = {seed}"]
+    if counts is not None:
+        lines.append("problem.counts = " + ",".join(map(str, counts)))
+    for i, name in enumerate(names):
+        lines += [f"solver[{i}].name = {name}", f"solver[{i}].label = {labels[i]}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        echo = _validate(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(echo[:echo.rindex("config_hash = ")])
+        assert _validate(path) == echo
 
 
 def test_config_error_exit_code(tmp_path, capsys):

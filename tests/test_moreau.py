@@ -376,6 +376,34 @@ class TestRun:
         assert min(errs) < 1e-6
         assert all(e < 1e-6 for e in errs[-10:])
 
+    def test_degenerate_split_stops_with_note(self, ls_spec):
+        train, val = one_d_sets()
+        trace = myhpo_run(MyhpoState.initial(1, lam0=0.0), ls_spec, train, val,
+                          MyhpoConfig(), budget=100)
+        assert trace.note.startswith("SplitDegenerate: ")
+        assert not trace.rows and not trace.diverged
+
+    def test_inner_solve_failure_stops_with_note(self, logit_spec):
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((10, 2))
+        y = np.sign(x @ np.ones(2) + 0.1)
+        train, val = Dataset(x, y, "train"), Dataset(x, y, "validation")
+        cfg = MyhpoConfig(variant="full", inner_max_iters=3)
+        trace = myhpo_run(MyhpoState.initial(2), logit_spec, train, val, cfg, budget=100)
+        assert trace.note.startswith("InnerSolveFailed: ")
+        assert not trace.rows and not trace.diverged
+
+    def test_nonfinite_first_step_marks_diverged(self, ls_spec):
+        rng = np.random.default_rng(43)
+        train = random_regression(rng, 10, 3)
+        val = random_regression(rng, 5, 3, role="validation")
+        cfg = MyhpoConfig(alpha=1e300)
+        with pytest.raises(NonFiniteIterate):
+            with np.errstate(over="ignore", invalid="ignore"):
+                my_step_simplified(MyhpoState.initial(3), ls_spec, train, val, cfg)
+        trace = myhpo_run(MyhpoState.initial(3), ls_spec, train, val, cfg, budget=100)
+        assert trace.diverged and not trace.rows and trace.note == ""
+
 
 class TestStationarity:
     def test_ridge_point_with_zero_dual(self, ls_spec):
