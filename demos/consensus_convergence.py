@@ -28,8 +28,8 @@ spec = LossSpec("least_squares")
 grid = np.linspace(-8, 2, 201)
 curve = []
 for lam in grid:
-    a = train.X.T @ train.X / train.n + 2 * np.exp(lam) * np.eye(train.d)
-    w = np.linalg.solve(a, train.X.T @ train.y / train.n)
+    a = train.gram + 2 * np.exp(lam) * np.eye(train.d)
+    w = np.linalg.solve(a, train.xty)
     curve.append(val_loss(spec, w, val))
 lam_star = grid[int(np.argmin(curve))]
 print(f"ridge-path validation optimum: lambda ~ {lam_star:+.2f}")
@@ -39,7 +39,7 @@ state = MyhpoState.initial(train.d)
 print(f"\n{'iter':>6} {'lambda':>9} {'|r|':>10} {'|s|':>10} {'|u|':>10}")
 k = 0
 while k < cfg.max_iters:
-    state, res, _ = my_step_full(state, spec, train, val, cfg)
+    state, res = my_step_full(state, spec, train, val, cfg)
     k += 1
     if k in (1, 2, 5, 10, 20, 50, 100, 200) or max(res.r_norm, res.s_norm) < cfg.eps_tol:
         print(f"{k:>6} {state.lam:>9.4f} {res.r_norm:>10.2e} {res.s_norm:>10.2e} "
@@ -47,7 +47,7 @@ while k < cfg.max_iters:
     if max(res.r_norm, res.s_norm) < cfg.eps_tol:
         break
 
-rep = check_stationarity(spec, state.w, state.lam, state.u, state.br, train, val, tol=1e-4)
+rep = check_stationarity(spec, state, train, val, tol=1e-4)
 print(f"\nconverged at iteration {k}, lambda = {state.lam:+.4f}")
 print(f"stationarity residuals: train-grad {rep.train_grad_norm:.2e}, "
       f"lambda-grad {rep.lam_grad_abs:.2e},")

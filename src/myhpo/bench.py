@@ -67,7 +67,7 @@ from .data import (
     split,
     synthesize,
 )
-from .model import LEAST_SQUARES, LOGISTIC, LossSpec
+from .model import LAMBDA0, LEAST_SQUARES, LOGISTIC, LossSpec
 from .moreau import VARIANT_SOLVERS, MyhpoConfig, MyhpoState, myhpo_run
 from .rng import PRNG_ID
 from .search import (
@@ -101,11 +101,9 @@ _VARIANT_OF = {name: variant for variant, name in VARIANT_SOLVERS.items()}
 
 _PROBLEM_DEFAULTS = {
     "loss": LEAST_SQUARES,
-    "kappa": 10000.0,
-    "noise_std": 0.1,
-    "train_fraction": 0.5,
-    "val_fraction": 0.25,
-    "stratified": False,
+    **{f.name: f.default for f in fields(SyntheticSpec) if f.name in ("kappa", "noise_std")},
+    **{f.name: f.default for f in fields(SplitSpec)
+       if f.name in ("train_fraction", "val_fraction", "stratified")},
 }
 
 
@@ -167,18 +165,16 @@ def _parse_flat(text: str) -> dict[str, str]:
     return flat
 
 
-def _coerce(key: str, value, kind):
+def _coerce(key: str, value: str, kind):
     try:
         if kind is bool:
-            if isinstance(value, bool):
-                return value
             if value.lower() in ("true", "1", "yes"):
                 return True
             if value.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(value)
         coerced = kind(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise SchemaError(key, f"cannot read {value!r} as {kind.__name__}") from None
     if kind is float and not math.isfinite(coerced):
         raise SchemaError(key, f"must be finite, got {value!r}")
@@ -302,7 +298,7 @@ def _resolve_solvers(solver_raw: dict[int, dict], budget: int) -> list[SolverBlo
         params = {f.name: f.default for f in fields(cls)
                   if f.name not in ("seed", "variant")}
         if cls is not SearchConfig:
-            params["lambda0"] = -1.0
+            params["lambda0"] = LAMBDA0
         for key in ("max_iters", "n_t"):
             if key in params:
                 params[key] = budget // 2

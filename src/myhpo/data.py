@@ -261,8 +261,8 @@ class SyntheticSpec:
 
     n: int
     d: int
-    kappa: float = 1.0
-    noise_std: float = 0.0
+    kappa: float = 1e4
+    noise_std: float = 0.1
     seed: int = 0
 
     def __post_init__(self):

@@ -29,13 +29,17 @@ satisfying ``lam * phi1 + phi0 == v`` preserves the consensus constraint
 and the mean split is the canonical choice.
 
 All functions here are pure: they never mutate their arguments and keep no
-internal state, so values are freely shareable across threads.
+internal state, so values are freely shareable across threads. The one
+cache lives on ``Dataset``: a split memoizes products of its own ``X`` and
+``y`` (``gram``, ``xty``, ``gram_norm``) on first use, so its arrays must
+not be changed in place once a solver has read them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -45,6 +49,9 @@ LOGISTIC = "logistic"
 LOSS_KINDS = (LEAST_SQUARES, LOGISTIC)
 
 ROLES = ("train", "validation", "test")
+
+# starting hyperparameter of every bi-level solver
+LAMBDA0 = -1.0
 
 # |lam| below this floor makes the phi1 division numerically meaningless.
 SPLIT_FLOOR = 1e-12
@@ -69,7 +76,8 @@ class Dataset:
     ``y`` holds real targets for regression and exactly -1/+1 for
     classification. ``role`` is one of ``train``, ``validation``, ``test``
     and is checked by the loss functions so a split cannot be fed to the
-    wrong objective by accident.
+    wrong objective by accident. ``gram``, ``xty`` and ``gram_norm`` are
+    the products the exact solves reuse, memoized on first use.
     """
 
     X: np.ndarray
@@ -101,6 +109,21 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``X.T @ X / n``, computed on first use."""
+        return self.X.T @ self.X / self.n
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        """``X.T @ y / n``, computed on first use."""
+        return self.X.T @ self.y / self.n
+
+    @cached_property
+    def gram_norm(self) -> float:
+        """Largest eigenvalue of ``gram``, computed on first use."""
+        return float(np.linalg.eigvalsh(self.gram)[-1])
 
 
 @dataclass(frozen=True)

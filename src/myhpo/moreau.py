@@ -67,6 +67,7 @@ import numpy as np
 from scipy.special import expit
 
 from .model import (
+    LAMBDA0,
     LEAST_SQUARES,
     _exp,
     BestResponse,
@@ -151,7 +152,7 @@ class MyhpoState:
     last_backtrack: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def initial(cls, d: int, lam0: float = -1.0) -> "MyhpoState":
+    def initial(cls, d: int, lam0: float = LAMBDA0) -> "MyhpoState":
         return cls(v=np.zeros(d), w=np.zeros(d), lam=lam0, u=np.zeros(d))
 
 
@@ -199,8 +200,11 @@ def _advance(state, v_new, w_new, lam_new, br, rho, grads, outcomes=None):
 
 
 def _step_cost(cfg: MyhpoConfig) -> int:
-    """Gradients a simplified step spends: training and validation, plus a fresh
-    training gradient at ``w`` with ``fresh_w_gradient``."""
+    """Gradients a step needs. A simplified step spends exactly this: training
+    and validation, plus a fresh training gradient at ``w`` with
+    ``fresh_w_gradient``. A full step spends at least one and stops at its cap."""
+    if cfg.variant == "full":
+        return 1
     return 2 + (1 if cfg.fresh_w_gradient else 0)
 
 
@@ -337,21 +341,7 @@ class _Ledger:
         return self.cap is not None and self.spent >= self.cap
 
 
-def _solver_cache(spec: LossSpec, train: Dataset, val: Dataset) -> dict:
-    """Data-dependent quantities shared by every full-variant iteration."""
-    gram = train.X.T @ train.X / train.n
-    cache = {
-        "gram": gram,
-        "xty": train.X.T @ train.y / train.n,
-        # largest eigenvalue of the fit Hessian bound, for damped steps
-        "fit_lip": float(np.linalg.eigvalsh(gram)[-1]),
-    }
-    if spec.kind != LEAST_SQUARES:
-        cache["fit_lip"] /= 4.0  # logistic curvature is at most 1/4
-    return cache
-
-
-def _minimize_train(spec, lam, train, x0, cfg, ledger, cache, rho=0.0, shift=None):
+def _minimize_train(spec, lam, train, x0, cfg, ledger, rho=0.0, shift=None):
     """Minimize L_T(x, lam) [+ u.x + (rho/2)||x - target||^2] over x.
 
     ``shift`` bundles the augmentation as (u, target); least squares is a
@@ -360,14 +350,15 @@ def _minimize_train(spec, lam, train, x0, cfg, ledger, cache, rho=0.0, shift=Non
     """
     exp_lam = _exp(lam)
     if spec.kind == LEAST_SQUARES:
-        a = cache["gram"] + (2.0 * exp_lam + rho) * np.eye(train.d)
-        b = cache["xty"].copy()
+        a = train.gram + (2.0 * exp_lam + rho) * np.eye(train.d)
+        b = train.xty
         if shift is not None:
             u, target = shift
-            b += rho * target - u
+            b = b + (rho * target - u)
         return np.linalg.solve(a, b)
 
-    lip = cache["fit_lip"] + 2.0 * exp_lam + rho
+    # logistic curvature is at most 1/4 of the Gram matrix's
+    lip = train.gram_norm / 4.0 + 2.0 * exp_lam + rho
     x = np.asarray(x0, dtype=float)
     for _ in range(cfg.inner_max_iters):
         if ledger.exhausted:
@@ -446,30 +437,26 @@ def my_step_full(
     val: Dataset,
     cfg: MyhpoConfig,
     grad_cap: int | None = None,
-    _cache: dict | None = None,
-) -> tuple[MyhpoState, Residuals, bool]:
+) -> tuple[MyhpoState, Residuals]:
     """One exact-minimization iteration.
 
     ``grad_cap`` bounds the ledger units this step may spend; inner solves
     stop early once it is hit. All four blocks always execute, so a
-    truncated step still leaves a consistent state. The third value is
-    True when the step spent all of ``grad_cap``.
+    truncated step still leaves a consistent state.
     """
     lam = state.lam
-    cache = _cache if _cache is not None else _solver_cache(spec, train, val)
     ledger = _Ledger(grad_cap)
 
-    v_new = _minimize_train(spec, lam, train, state.v, cfg, ledger, cache)
+    v_new = _minimize_train(spec, lam, train, state.v, cfg, ledger)
     br = split_best_response(v_new, lam)
     gw_old = best_response(br, lam)
 
     w_new = _minimize_train(
-        spec, lam, train, state.w, cfg, ledger, cache,
+        spec, lam, train, state.w, cfg, ledger,
         rho=cfg.rho, shift=(state.u, gw_old),
     )
     lam_new = _minimize_lambda(spec, br, w_new, state.u, lam, cfg.rho, val, cfg, ledger)
-    new, res = _advance(state, v_new, w_new, lam_new, br, cfg.rho, ledger.spent)
-    return new, res, ledger.exhausted
+    return _advance(state, v_new, w_new, lam_new, br, cfg.rho, ledger.spent)
 
 
 def myhpo_run(
@@ -509,17 +496,12 @@ def myhpo_run(
 
 def _myhpo_rows(state, spec, train, val, cfg, budget, test):
     """Step ``state`` under the budget, yielding one row per iteration."""
-    full = cfg.variant == "full"
-    cache = _solver_cache(spec, train, val) if full else None
-    # a full step spends at least one gradient and stops at its cap
-    step_cost = 1 if full else _step_cost(cfg)
+    step_cost = _step_cost(cfg)
     step = my_step_backtracking if cfg.variant == "simplified_backtracking" else my_step_simplified
     while state.iter < cfg.max_iters and state.grad_count + step_cost <= budget:
-        if full:
-            state, res, _ = my_step_full(
-                state, spec, train, val, cfg,
-                grad_cap=budget - state.grad_count, _cache=cache,
-            )
+        if cfg.variant == "full":
+            state, res = my_step_full(state, spec, train, val, cfg,
+                                      grad_cap=budget - state.grad_count)
         else:
             state, res = step(state, spec, train, val, cfg)
         yield TraceRow(state.iter, state.grad_count, state.lam,
@@ -551,17 +533,14 @@ class StationarityReport:
 
 def check_stationarity(
     spec: LossSpec,
-    w: np.ndarray,
-    lam: float,
-    u: np.ndarray,
-    br: BestResponse,
+    state: MyhpoState,
     train: Dataset,
     val: Dataset,
     tol: float,
 ) -> StationarityReport:
-    """Evaluate the four stationarity residuals plus ||u|| at an iterate."""
-    w = np.asarray(w, dtype=float)
-    u = np.asarray(u, dtype=float)
+    """Evaluate the four stationarity residuals plus ||u|| at ``state``'s
+    iterate ``(w, lam, u)`` through its best response ``br``."""
+    w, lam, u, br = state.w, state.lam, state.u, state.br
     gw = best_response(br, lam)
     e_train = float(np.linalg.norm(grad_w_train(spec, w, lam, train) + u))
     e_lam = abs(

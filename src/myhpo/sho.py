@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import (
+    LAMBDA0,
     BestResponse,
     Dataset,
     LossSpec,
@@ -69,7 +70,7 @@ class ShoState:
     grad_count: int = 0
 
     @classmethod
-    def initial(cls, d: int, lam0: float = -1.0) -> "ShoState":
+    def initial(cls, d: int, lam0: float = LAMBDA0) -> "ShoState":
         return cls(br=BestResponse(np.zeros(d), np.zeros(d)), lam=lam0)
 
 

@@ -133,7 +133,7 @@ def test_criterion_3_ridge_oracle_equivalence():
                            lam=float(rng.uniform(-2.0, 0.5)),
                            u=0.3 * rng.standard_normal(d))
         cfg = MyhpoConfig(variant="full", rho=float(rng.uniform(0.5, 2.0)))
-        new, _, _ = my_step_full(state, LS, train, val, cfg)
+        new, _ = my_step_full(state, LS, train, val, cfg)
 
         exp_lam = math.exp(state.lam)
         a1 = np.vstack([x / math.sqrt(n), math.sqrt(2 * exp_lam) * np.eye(d)])
@@ -171,7 +171,7 @@ def test_criterion_4_fixed_point_invariance():
                and new.lam == state.lam and np.array_equal(new.u, state.u)
                and res.r_norm == 0.0 and res.s_norm == 0.0)
     cfg = MyhpoConfig(variant="full", rho=1.0)
-    new, res, _ = my_step_full(MyhpoState.initial(3, lam0=-1.0), LS, train, val, cfg)
+    new, res = my_step_full(MyhpoState.initial(3, lam0=-1.0), LS, train, val, cfg)
     ok &= (np.array_equal(new.v, np.zeros(3)) and np.array_equal(new.w, np.zeros(3))
            and new.lam == -1.0 and res.r_norm == 0.0 and res.s_norm == 0.0)
 
@@ -209,14 +209,10 @@ def test_criterion_6_stationarity_at_convergence():
     last = trace.rows[-1]
     converged = max(last.r_norm, last.s_norm) <= 1e-6
 
-    from myhpo.moreau import _solver_cache
-
     state = MyhpoState.initial(2)
-    cache = _solver_cache(LS, train, val)
     for _ in range(last.iter):
-        state, _, _ = my_step_full(state, LS, train, val, cfg, _cache=cache)
-    rep = check_stationarity(LS, state.w, state.lam, state.u, state.br, train, val,
-                             tol=1e-4)
+        state, _ = my_step_full(state, LS, train, val, cfg)
+    rep = check_stationarity(LS, state, train, val, tol=1e-4)
     elapsed = time.monotonic() - t0
     ok = converged and rep.ok and rep.u_norm <= 1e-4 and elapsed < 5.0
     assert report(6, ok,
@@ -349,8 +345,7 @@ def _certified_stop(step, state, train, val, eps_tol, cap):
     while state.iter < cap:
         state, res = step(state)
         if max(res.r_norm, res.s_norm) < eps_tol:
-            if check_stationarity(LS, state.w, state.lam, state.u, state.br,
-                                  train, val, tol=1e-4).ok:
+            if check_stationarity(LS, state, train, val, tol=1e-4).ok:
                 return state, True, first_uncertified
             if first_uncertified is None:
                 first_uncertified = state.iter
@@ -371,8 +366,6 @@ def test_criterion_10_full_vs_simplified():
     by k_f. Each per-seed line shows k_f, the simplified variant's first
     uncertified stop, and the gradients per iteration of both variants.
     """
-    from myhpo.moreau import _solver_cache
-
     t0 = time.monotonic()
     good = 0
     lines = []
@@ -380,9 +373,8 @@ def test_criterion_10_full_vs_simplified():
         train, val, _ = stability_problem(seed)
         fcfg = MyhpoConfig(variant="full", rho=1.0, eps_tol=1e-5,
                            max_iters=CRITERION_10_CAP, inner_tol=1e-9)
-        cache = _solver_cache(LS, train, val)
         full, f_conv, _ = _certified_stop(
-            lambda s: my_step_full(s, LS, train, val, fcfg, _cache=cache)[:2],
+            lambda s: my_step_full(s, LS, train, val, fcfg),
             MyhpoState.initial(STABILITY["d"]), train, val, fcfg.eps_tol,
             CRITERION_10_CAP)
         k_f = full.iter

@@ -51,6 +51,14 @@ solver[2].n_s = 2
 solver[2].alpha_train = 0.05
 """
 
+CSV = """
+problem.kind = csv
+problem.path = data.csv
+problem.target = y
+budget_n_g = 100
+solver[0].name = sho
+"""
+
 
 class TestParseConfig:
     def test_minimal_config_fills_documented_defaults(self):
@@ -116,6 +124,31 @@ class TestParseConfig:
         with pytest.raises(SchemaError) as err:
             parse_config_text(MINIMAL + f"{key} = {value}\n")
         assert err.value.key == key and "finite" in str(err.value)
+
+    @pytest.mark.parametrize("text, key", [
+        (MINIMAL + "repetitions 3\n", "line 7"),
+        (MINIMAL + "problem.n = 30\n", "problem.n"),
+        (MINIMAL + "problem.stratified = maybe\n", "problem.stratified"),
+        (MINIMAL + "solver[x].name = sho\n", "solver[x].name"),
+        (MINIMAL + "budget = 3\n", "budget"),
+        (MINIMAL.replace("budget_n_g = 100\n", ""), "budget_n_g"),
+        (MINIMAL + "repetitions = 0\n", "repetitions"),
+        (MINIMAL.replace("problem.kind = synthetic\n", ""), "problem.kind"),
+        (MINIMAL.replace("synthetic", "sql"), "problem.kind"),
+        (MINIMAL + "problem.loss = hinge\n", "problem.loss"),
+        (CSV + "problem.class_a = 1\n", "problem.class_a"),
+        (CSV + "problem.loss = logistic\n", "problem.class_a"),
+        (MINIMAL + "problem.counts = 10,5\n", "problem.counts"),
+        (MINIMAL.replace("solver[0].name = myhpo_bt\n", ""), "solver[0].name"),
+        (MINIMAL + "solver[1].label = second\n", "solver[1].name"),
+    ], ids=["no-equals", "duplicate-key", "bad-bool", "solver-key-shape", "unknown-key",
+            "budget-required", "repetitions-zero", "kind-required", "unknown-kind",
+            "unknown-loss", "class-pair-half", "logistic-without-classes", "counts-arity",
+            "no-solver", "solver-name-required"])
+    def test_config_errors_name_their_key(self, text, key):
+        with pytest.raises(SchemaError) as err:
+            parse_config_text(text)
+        assert err.value.key == key
 
     def test_noncontiguous_solver_indices(self):
         with pytest.raises(SchemaError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from myhpo import moreau
 from myhpo.data import SplitSpec, SyntheticSpec, split, synthesize
 from myhpo.model import (
     BestResponse,
@@ -234,7 +235,7 @@ class TestFullStep:
         state = MyhpoState(v=rng.standard_normal(6), w=rng.standard_normal(6),
                            lam=-0.8, u=0.2 * rng.standard_normal(6))
         cfg = MyhpoConfig(variant="full", rho=1.3, inner_tol=1e-12)
-        new, _, _ = my_step_full(state, ls_spec, train, val, cfg)
+        new, _ = my_step_full(state, ls_spec, train, val, cfg)
 
         # oracle route: stacked least-squares solves, not plain linear solves
         exp_lam = math.exp(state.lam)
@@ -260,7 +261,7 @@ class TestFullStep:
         val = random_regression(rng, 8, 4, role="validation")
         cfg = MyhpoConfig(variant="full", rho=0.0)
         state = MyhpoState.initial(4)
-        new, _, _ = my_step_full(state, ls_spec, train, val, cfg)
+        new, _ = my_step_full(state, ls_spec, train, val, cfg)
         assert np.allclose(new.v, new.w, atol=1e-12)
 
     def test_lambda_subproblem_stationary(self, ls_spec):
@@ -270,7 +271,7 @@ class TestFullStep:
         cfg = MyhpoConfig(variant="full", rho=1.0, inner_tol=1e-10)
         state = MyhpoState(v=rng.standard_normal(4), w=rng.standard_normal(4),
                            lam=-1.0, u=np.zeros(4))
-        new, _, _ = my_step_full(state, ls_spec, train, val, cfg)
+        new, _ = my_step_full(state, ls_spec, train, val, cfg)
         br = new.br
         gw = best_response(br, new.lam)
         slack = new.w - gw
@@ -286,7 +287,7 @@ class TestFullStep:
         train = Dataset(x, y, "train")
         val = Dataset(x[:8], y[:8], "validation")
         cfg = MyhpoConfig(variant="full", rho=1.0, inner_tol=1e-8, inner_max_iters=20000)
-        new, _, _ = my_step_full(MyhpoState.initial(3), logit_spec, train, val, cfg)
+        new, _ = my_step_full(MyhpoState.initial(3), logit_spec, train, val, cfg)
         g = grad_w_train(logit_spec, new.v, -1.0, train)
         assert np.linalg.norm(g) <= 1e-8
         assert new.grad_count > 2  # iterative solves are ledgered honestly
@@ -300,6 +301,47 @@ class TestFullStep:
         cfg = MyhpoConfig(variant="full", inner_tol=1e-14, inner_max_iters=2)
         with pytest.raises(InnerSolveFailed):
             my_step_full(MyhpoState.initial(2), logit_spec, train, val, cfg)
+
+    def test_zero_curvature_falls_back_then_fails(self, logit_spec):
+        """Validation margins of size ~1e6 saturate expit to exactly 0 or 1, so
+        with rho = 0 the lam curvature is 0 and the Newton candidate is NaN.
+        Newton gives up; the gradient fallback, whose step is too small to move
+        lam, runs its 50 steps and the solve fails."""
+        x = np.array([[2.0, 1.0], [1.0, 3.0], [-2.0, -1.0], [-1.0, -2.5]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        train = Dataset(x, y, "train")
+        val = Dataset(-1e6 * x, y, "validation")
+        cfg = MyhpoConfig(variant="full", rho=0.0, delta=1e-300)
+        with pytest.raises(InnerSolveFailed, match="after Newton and fallback"):
+            my_step_full(MyhpoState.initial(2), logit_spec, train, val, cfg)
+
+    def test_newton_overshoot_bisects_the_bracket(self, logit_spec, monkeypatch):
+        """Two copies of one validation row with opposite labels make the
+        validation loss along G(t) equal 2 log(2 cosh(s/2)), s = x0.G(t), whose
+        derivative is a tanh. Started at |s| ~ 5, Newton jumps past the root;
+        its next candidate leaves the sign bracket, which is then halved."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((8, 3))
+        train = Dataset(x, np.sign(x @ np.array([1.0, -1.0, 0.5])), "train")
+        x0 = 30.0 * rng.standard_normal(3)
+        val = Dataset(np.vstack([x0, x0]), [1.0, -1.0], "validation")
+        seen = []  # (lam, derivative) at every point the lam solve evaluates
+        direction = moreau._lam_direction
+
+        def spy(spec, br, lam, *rest):
+            g = direction(spec, br, lam, *rest)
+            seen.append((lam, g))
+            return g
+
+        monkeypatch.setattr(moreau, "_lam_direction", spy)
+        cfg = MyhpoConfig(variant="full", rho=1.0, inner_tol=1e-10)
+        my_step_full(MyhpoState.initial(3), logit_spec, train, val, cfg)
+        lo, hi, bisected = -math.inf, math.inf, False
+        for (lam, g), (nxt, _) in zip(seen, seen[1:]):
+            lo, hi = (lo, lam) if g > 0 else (lam, hi)
+            bisected |= nxt == 0.5 * (lo + hi)
+        assert bisected
+        assert abs(seen[-1][1]) <= cfg.inner_tol
 
 
 class TestFixedPoint:
@@ -318,7 +360,7 @@ class TestFixedPoint:
             assert np.array_equal(new.u, state.u)
             assert res.r_norm == 0.0 and res.s_norm == 0.0
         cfg = MyhpoConfig(variant="full", rho=1.0)
-        new, res, _ = my_step_full(MyhpoState.initial(3, lam0=-1.0), ls_spec, train, val, cfg)
+        new, res = my_step_full(MyhpoState.initial(3, lam0=-1.0), ls_spec, train, val, cfg)
         assert np.array_equal(new.v, np.zeros(3))
         assert np.array_equal(new.w, np.zeros(3))
         assert new.lam == -1.0
@@ -347,6 +389,25 @@ class TestRun:
         cfg = MyhpoConfig(variant="full", eps_tol=1e-30, max_iters=10**6)
         trace = myhpo_run(MyhpoState.initial(3), ls_spec, train, val, cfg, budget=20)
         assert trace.rows[-1].n_grad <= 20
+
+    def test_logistic_full_variant_spends_budget_exactly(self, logit_spec):
+        """A budget that runs out inside an inner solve, at any point of the
+        train solves or the Newton loop, ends the run at exactly the budget."""
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((20, 3))
+        y = np.sign(x @ np.array([1.0, -1.0, 0.5]) + 0.1 * rng.standard_normal(20))
+        train, val = Dataset(x, y, "train"), Dataset(x[:8], y[:8], "validation")
+        cfg = MyhpoConfig(variant="full", eps_tol=1e-30, max_iters=10**6)
+
+        def run(budget):
+            return myhpo_run(MyhpoState.initial(3), logit_spec, train, val, cfg, budget)
+
+        first, second = (r.n_grad for r in run(10**3).rows[:2])
+        assert first > 2  # the first step alone spans many inner gradients
+        for budget in range(2, second + 1):
+            rows = run(budget).rows
+            assert rows[-1].n_grad == budget
+            assert len(rows) == (1 if budget <= first else 2)
 
     def test_divergence_recorded_not_raised(self, ls_spec):
         table = synthesize(SyntheticSpec(n=30, d=10, kappa=10.0, noise_std=0.1, seed=2))
@@ -414,7 +475,8 @@ class TestStationarity:
         a = train.X.T @ train.X / train.n + 2 * math.exp(lam) * np.eye(4)
         w = np.linalg.solve(a, train.X.T @ train.y / train.n)
         br = split_best_response(w, lam)
-        rep = check_stationarity(ls_spec, w, lam, np.zeros(4), br, train, val, tol=1e-4)
+        state = MyhpoState(v=w, w=w, lam=lam, u=np.zeros(4), br=br)
+        rep = check_stationarity(ls_spec, state, train, val, tol=1e-4)
         assert rep.train_grad_norm <= 1e-8
         assert rep.hypernet_grad_norm <= 1e-8
         assert rep.consensus_gap <= 1e-12
@@ -427,23 +489,20 @@ class TestStationarity:
         lam = -1.2
         u = -grad_w_train(ls_spec, w, lam, train)
         br = split_best_response(w, lam)
-        rep = check_stationarity(ls_spec, w, lam, u, br, train, val, tol=1e-4)
+        state = MyhpoState(v=w, w=w, lam=lam, u=u, br=br)
+        rep = check_stationarity(ls_spec, state, train, val, tol=1e-4)
         assert rep.train_grad_norm == 0.0
 
     def test_converged_run_passes(self, ls_spec):
-        from myhpo.moreau import _solver_cache
-
         table = synthesize(SyntheticSpec(n=12, d=2, kappa=5.0, noise_std=0.6, seed=6))
         train, val, _ = split(table, SplitSpec(train_fraction=0.34, val_fraction=0.33, seed=6))
         cfg = MyhpoConfig(variant="full", rho=1.0, eps_tol=1e-6, max_iters=3000,
                           inner_tol=1e-10)
-        cache = _solver_cache(ls_spec, train, val)
         state = MyhpoState.initial(2)
         for _ in range(3000):
-            state, res, _ = my_step_full(state, ls_spec, train, val, cfg, _cache=cache)
+            state, res = my_step_full(state, ls_spec, train, val, cfg)
             if max(res.r_norm, res.s_norm) < cfg.eps_tol:
                 break
-        rep = check_stationarity(ls_spec, state.w, state.lam, state.u, state.br,
-                                 train, val, tol=1e-4)
+        rep = check_stationarity(ls_spec, state, train, val, tol=1e-4)
         assert rep.ok
         assert rep.u_norm <= 1e-4

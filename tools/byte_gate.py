@@ -1,23 +1,30 @@
-"""Byte gate: one digest over every output the CLI writes, per config.
+"""Byte gate: one digest over every output the CLI and the demos write, per group.
 
 Usage::
 
     python3 tools/byte_gate.py SRC
 
-runs ``python -m myhpo`` from the package under ``SRC`` (``PYTHONPATH=SRC``,
-``OPENBLAS_NUM_THREADS=1``) on three configs: ``demos/configs/stability.cfg``
-and two gate configs this script writes, a logistic csv problem and a
-synthetic least-squares problem. Each config runs in a fresh temporary
-directory, with a relative ``output_dir`` and relative data paths, through
-``run``, ``summarize``, ``curves --x iter``, ``curves --x n_grad``,
-``validate`` and ``--seed 7 validate``. The script prints one sha256 per
-config, over every file left in its directory and every command's exit
-code, stdout and stderr, then one overall sha256 over those lines. Two
-checkouts that print the same digests wrote byte-identical outputs.
+runs the package under ``SRC`` (``PYTHONPATH=SRC``, ``OPENBLAS_NUM_THREADS=1``)
+in four groups, each in a fresh temporary directory:
+
+- ``stability``, ``logistic``, ``least_squares``: ``python -m myhpo`` on
+  ``demos/configs/stability.cfg`` and on two gate configs this script
+  writes, a logistic csv problem and a synthetic least-squares problem,
+  with a relative ``output_dir`` and relative data paths, through ``run``,
+  ``summarize``, ``curves --x iter``, ``curves --x n_grad``, ``validate``
+  and ``--seed 7 validate``;
+- ``demos``: every ``*.py`` script in ``SRC/../demos``, the demos of the
+  checkout that owns ``SRC``, so each side runs its own calls into the
+  Python API.
+
+The script prints one sha256 per group, over every file left in its
+directory and every command's exit code, stdout and stderr, then one
+overall sha256 over those lines. Two checkouts that print the same digests
+wrote byte-identical outputs.
 
 Compare a change with its parent::
 
-    git worktree add ../parent HEAD~1
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python3 tools/byte_gate.py ../parent/src
     python3 tools/byte_gate.py src
 """
@@ -113,29 +120,39 @@ def _classes_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _commands(cfg: str) -> list[list[str]]:
-    return [["run", cfg], ["summarize", "out"], ["curves", "out", "--x", "iter"],
-            ["curves", "out", "--x", "n_grad"], ["validate", cfg],
-            ["--seed", "7", "validate", cfg]]
-
-
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _group(src: str, files: dict[str, str], cfg: str) -> str:
-    """Write ``files``, run the commands on ``cfg`` and digest what they leave."""
+def _cli_runs(cfg: str) -> list[tuple[str, list[str]]]:
+    """The six CLI commands on ``cfg``, labelled by their arguments."""
+    commands = [["run", cfg], ["summarize", "out"], ["curves", "out", "--x", "iter"],
+                ["curves", "out", "--x", "n_grad"], ["validate", cfg],
+                ["--seed", "7", "validate", cfg]]
+    return [(" ".join(args), ["-m", "myhpo", *args]) for args in commands]
+
+
+def _demo_runs(src: str) -> list[tuple[str, list[str]]]:
+    """Each demo script of the checkout that owns ``src``, labelled by file name."""
+    demos = os.path.join(os.path.dirname(src), "demos")
+    return [(name, [os.path.join(demos, name)])
+            for name in sorted(os.listdir(demos)) if name.endswith(".py")]
+
+
+def _group(src: str, files: dict[str, str], runs: list[tuple[str, list[str]]]) -> str:
+    """Write ``files``, run each ``(label, python arguments)`` of ``runs`` and
+    digest what they leave."""
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory() as work:
         for name, text in files.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         listing = []
-        for i, args in enumerate(_commands(cfg)):
-            done = subprocess.run([sys.executable, "-m", "myhpo", *args], cwd=work, env=env,
+        for i, (label, args) in enumerate(runs):
+            done = subprocess.run([sys.executable, *args], cwd=work, env=env,
                                   capture_output=True)
             capture = b"%d\n%s\n%s" % (done.returncode, done.stdout, done.stderr)
-            listing.append(f"{_digest(capture)}  command {i}: {' '.join(args)}")
+            listing.append(f"{_digest(capture)}  command {i}: {label}")
         for base, _, names in os.walk(work):
             for name in names:
                 path = os.path.join(base, name)
@@ -152,9 +169,11 @@ def main(argv: list[str]) -> int:
     with open(os.path.join(ROOT, "demos", "configs", "stability.cfg"), encoding="utf-8") as fh:
         stability = fh.read()
     groups = {
-        "stability": _group(src, {"stability.cfg": stability}, "stability.cfg"),
-        "logistic": _group(src, {"gate.cfg": LOGISTIC, "data.csv": _classes_csv()}, "gate.cfg"),
-        "least_squares": _group(src, {"gate.cfg": LEAST_SQUARES}, "gate.cfg"),
+        "stability": _group(src, {"stability.cfg": stability}, _cli_runs("stability.cfg")),
+        "logistic": _group(src, {"gate.cfg": LOGISTIC, "data.csv": _classes_csv()},
+                           _cli_runs("gate.cfg")),
+        "least_squares": _group(src, {"gate.cfg": LEAST_SQUARES}, _cli_runs("gate.cfg")),
+        "demos": _group(src, {}, _demo_runs(src)),
     }
     lines = [f"{name} {digest}" for name, digest in groups.items()]
     print("\n".join(lines))
