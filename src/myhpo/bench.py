@@ -272,7 +272,14 @@ def _resolve_problem(problem: dict) -> dict:
               "csv": ("path", "target", "class_a", "class_b"),
               "idx": ("images", "labels", "class_a", "class_b")}[kind]
     common = ("kind", "loss", "train_fraction", "val_fraction", "counts", "stratified")
-    return {k: v for k, v in out.items() if k in scoped + common}
+    out = {k: v for k, v in out.items() if k in scoped + common}
+    try:  # the specs' own checks; counts meet the table size only at run time
+        if kind == "synthetic":
+            _synthetic_spec(out, seed=0)
+        _split_spec(out, seed=0)
+    except ValueError as exc:
+        raise SchemaError("problem", str(exc)) from None
+    return out
 
 
 def _resolve_solvers(solver_raw: dict[int, dict], budget: int) -> list[SolverBlock]:
@@ -325,22 +332,27 @@ def _load_table(problem: dict) -> RawTable:
     return table
 
 
-def _build_problem(problem: dict, run_seed: int, table: RawTable | None):
-    """Split ``table``, or a fresh synthetic table when it is None, for one run."""
-    if table is None:
-        table = synthesize(SyntheticSpec(
-            n=problem["n"], d=problem["d"], kappa=problem["kappa"],
-            noise_std=problem["noise_std"], seed=run_seed,
-        ))
-    spec = LossSpec(problem["loss"])
-    split_spec = SplitSpec(
+def _synthetic_spec(problem: dict, seed: int) -> SyntheticSpec:
+    return SyntheticSpec(n=problem["n"], d=problem["d"], kappa=problem["kappa"],
+                         noise_std=problem["noise_std"], seed=seed)
+
+
+def _split_spec(problem: dict, seed: int) -> SplitSpec:
+    return SplitSpec(
         train_fraction=problem["train_fraction"],
         val_fraction=problem["val_fraction"],
         counts=tuple(map(int, problem["counts"].split(","))) if "counts" in problem else None,
-        seed=run_seed,
+        seed=seed,
         stratified=problem["stratified"],
     )
-    train, val, test = split(table, split_spec)
+
+
+def _build_problem(problem: dict, run_seed: int, table: RawTable | None):
+    """Split ``table``, or a fresh synthetic table when it is None, for one run."""
+    if table is None:
+        table = synthesize(_synthetic_spec(problem, run_seed))
+    spec = LossSpec(problem["loss"])
+    train, val, test = split(table, _split_spec(problem, run_seed))
     meta = {f"problem.{k}": v for k, v in sorted(problem.items())}
     meta.update({"loss": problem["loss"], "split_sizes": f"{train.n}/{val.n}/{test.n}"})
     for name, data in (("train", train), ("val", val), ("test", test)):
@@ -472,9 +484,13 @@ def _finals(trace: RunTrace):
 
 
 def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation, computed on the values scaled by an
+    exact power of two that keeps their squares from overflowing."""
     arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    exp = math.frexp(float(np.abs(arr).max()))[1]
+    arr = np.ldexp(arr, -exp)
+    mean = math.ldexp(float(arr.mean()), exp)
+    std = float(np.ldexp(arr.std(ddof=1), exp)) if arr.size > 1 else 0.0
     return mean, std
 
 

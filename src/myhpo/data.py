@@ -204,33 +204,20 @@ def _split_counts(n: int, spec: SplitSpec) -> tuple[int, int, int]:
 
 
 def _stratified_indices(y: np.ndarray, counts, rng) -> tuple[np.ndarray, ...]:
-    classes = np.unique(y)
-    if set(classes) != {-1.0, 1.0}:
+    """Class -1 fills each cumulative split size in proportion, rounded to
+    nearest; class +1 fills the rest, so neither class can run out."""
+    # not np.unique: its first call imports numpy.ma mid-split, between the table's buffers
+    neg, pos = y == -1.0, y == 1.0
+    if not (neg.any() and pos.any() and (neg | pos).all()):
         raise InfeasibleSplit("stratified splits require -1/+1 labels")
     n = len(y)
-    pools = {c: rng.permutation(np.flatnonzero(y == c)) for c in classes}
-    offsets = {c: 0 for c in classes}
-    parts = []
-    for count in counts:
-        # proportional per-class quota, leftovers assigned in class order
-        quota = {c: count * len(pools[c]) // n for c in classes}
-        short = count - sum(quota.values())
-        for c in classes:
-            if short == 0:
-                break
-            if offsets[c] + quota[c] < len(pools[c]):
-                quota[c] += 1
-                short -= 1
-        if short != 0:
-            raise InfeasibleSplit(f"cannot place {count} stratified rows")
-        picked = []
-        for c in classes:
-            if offsets[c] + quota[c] > len(pools[c]):
-                raise InfeasibleSplit(f"class {c:+.0f} exhausted while stratifying")
-            picked.append(pools[c][offsets[c]: offsets[c] + quota[c]])
-            offsets[c] += quota[c]
-        parts.append(np.sort(np.concatenate(picked)))
-    return tuple(parts)
+    neg, pos = (rng.permutation(np.flatnonzero(mask)) for mask in (neg, pos))
+    ends = np.cumsum((0, *counts))
+    neg_ends = (ends * len(neg) + n // 2) // n  # class -1 rows among the first ends[i]
+    pos_ends = ends - neg_ends
+    return tuple(np.sort(np.concatenate([neg[neg_ends[i]:neg_ends[i + 1]],
+                                         pos[pos_ends[i]:pos_ends[i + 1]]]))
+                 for i in range(len(counts)))
 
 
 def split(table: RawTable, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
@@ -266,6 +253,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("d must be at least 1")
         if self.n < self.d:
             raise ValueError("need n >= d for a full-rank design")
         if self.kappa < 1:

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 LEAST_SQUARES = "least_squares"
 LOGISTIC = "logistic"
@@ -206,6 +205,12 @@ def _check_w(w: np.ndarray, data: Dataset) -> np.ndarray:
     return w
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid ``1 / (1 + exp(-x))``; saturates to exactly 0 or 1, silently."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _fit_loss(spec: LossSpec, w: np.ndarray, data: Dataset) -> float:
     """Data-fit part of the loss, without the regularizer."""
     if spec.kind == LEAST_SQUARES:
@@ -221,7 +226,16 @@ def _fit_grad(spec: LossSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     if spec.kind == LEAST_SQUARES:
         return data.X.T @ (data.X @ w - data.y) / data.n
     z = data.y * (data.X @ w)
-    return -(data.X.T @ (data.y * expit(-z))) / data.n
+    return -(data.X.T @ (data.y * _expit(-z))) / data.n
+
+
+def _fit_curvature(spec: LossSpec, w: np.ndarray, p: np.ndarray, data: Dataset) -> float:
+    """Second derivative of the data-fit part at ``w`` along the direction ``p``."""
+    xp = data.X @ p
+    if spec.kind == LEAST_SQUARES:
+        return float(xp @ xp) / data.n
+    sig = _expit(data.y * (data.X @ w))
+    return float((sig * (1.0 - sig)) @ (xp * xp)) / data.n
 
 
 def train_loss(spec: LossSpec, w: np.ndarray, lam: float, data: Dataset) -> float:

@@ -64,12 +64,12 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .model import (
     LAMBDA0,
     LEAST_SQUARES,
     _exp,
+    _fit_curvature,
     BestResponse,
     Dataset,
     LossSpec,
@@ -213,15 +213,7 @@ def _augmented(f: float, u: np.ndarray, rho: float, slack: np.ndarray) -> float:
     return f + float(u @ slack) + 0.5 * rho * float(slack @ slack)
 
 
-def _lam_direction(
-    spec: LossSpec,
-    br: BestResponse,
-    lam: float,
-    w_new: np.ndarray,
-    u: np.ndarray,
-    rho: float,
-    val: Dataset,
-) -> float:
+def _lam_direction(spec, br, lam, w_new, u, rho, val) -> float:
     """Derivative in lam of the augmented validation objective at ``lam``.
 
     Costs one d-dimensional validation gradient (inside grad_lambda_val).
@@ -376,24 +368,14 @@ def _minimize_train(spec, lam, train, x0, cfg, ledger, rho=0.0, shift=None):
     )
 
 
-def _lam_curvature(spec, br, lam, rho, val) -> float:
-    """Second derivative in lam of the augmented validation objective."""
-    xphi = val.X @ br.phi1
-    if spec.kind == LEAST_SQUARES:
-        curv = float(xphi @ xphi) / val.n
-    else:
-        z = val.y * (val.X @ best_response(br, lam))
-        sig = expit(z)
-        curv = float((sig * (1.0 - sig)) @ (xphi * xphi)) / val.n
-    return curv + rho * float(br.phi1 @ br.phi1)
-
-
 def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
     """Scalar subproblem solve: safeguarded Newton on the lam derivative.
 
-    Keeps a sign bracket for bisection whenever Newton proposes a point
-    outside it; falls back to 50 plain gradient steps at delta if Newton
-    stalls. Returns the current lam once the ledger is exhausted.
+    Keeps a sign bracket from every derivative it evaluates and bisects it
+    whenever Newton proposes a point outside; falls back to 50 plain
+    gradient steps at delta if Newton stalls, bisecting instead of any step
+    that leaves a bracket with two finite ends. Returns the current lam once
+    the ledger is exhausted.
     """
     lam = float(lam0)
     lo, hi = -math.inf, math.inf
@@ -404,13 +386,12 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
         ledger.spend(1)
         if abs(g) <= cfg.inner_tol:
             return lam
-        if g > 0:
-            hi = lam
-        else:
-            lo = lam
+        lo, hi = (lo, lam) if g > 0 else (lam, hi)
         if ledger.exhausted:
             return lam
-        curv = _lam_curvature(spec, br, lam, rho, val)
+        # second derivative in lam of the augmented validation objective
+        curv = (_fit_curvature(spec, best_response(br, lam), br.phi1, val)
+                + rho * float(br.phi1 @ br.phi1))
         ledger.spend(1)
         cand = lam - g / curv if curv > 1e-300 else math.nan
         if not math.isfinite(cand) or not (lo < cand < hi):
@@ -426,7 +407,10 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
         ledger.spend(1)
         if abs(g) <= cfg.inner_tol:
             return lam
+        lo, hi = (lo, lam) if g > 0 else (lam, hi)
         lam -= cfg.delta * g
+        if not (lo < lam < hi) and math.isfinite(lo) and math.isfinite(hi):
+            lam = 0.5 * (lo + hi)
     raise InnerSolveFailed(f"lam derivative above {cfg.inner_tol:g} after Newton and fallback")
 
 

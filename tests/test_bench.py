@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,16 @@ solver[0].name = sho
         # raised before the repetition's solvers ran: no trace was written
         assert not [n for n in os.listdir(tmp_path / "run") if n.endswith(".trace.csv")]
 
+    def test_harness_error_is_recorded_as_aborted(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("harness bug")
+
+        monkeypatch.setattr(bench, "myhpo_run", broken)
+        traces, summary = run_experiment(parse_config_text(MINIMAL), write=False)
+        assert traces[0].note == "aborted: RuntimeError: harness bug"
+        assert traces[0].diverged and not traces[0].rows
+        assert summary.entries[0].diverged == 1
+
     def test_synthetic_rejects_class_mapping(self):
         with pytest.raises(SchemaError):
             parse_config_text(MINIMAL + "problem.class_a = 0\nproblem.class_b = 1\n")
@@ -366,6 +377,27 @@ class TestSummaries:
         expected = row.val_loss / np.var([0.0, 2.0 * math.sqrt(var_val)])
         entry = [e for e in summary.entries if e.label == trace.label][0]
         assert math.isclose(entry.val_mean, expected, rel_tol=1e-12)
+
+    def test_rowless_trace_summarizes_as_na(self):
+        entry, = summarize_traces([RunTrace(solver="sho", label="s", seed=0)]).entries
+        assert math.isnan(entry.val_mean) and entry.mean_iters == 0.0
+        assert render_summary(SummaryTable([entry]), "csv").splitlines()[1:4] == [
+            "train (x1e-2),n/a", "val (x1e-2),n/a", "test (x1e-2),n/a"]
+
+    def test_spread_of_huge_finals_is_finite(self):
+        traces = []
+        for rep, loss in enumerate((1e160, 3e160)):
+            t = RunTrace(solver="sho", label="s", seed=rep,
+                         meta={"loss": "logistic", "repetition": rep})
+            t.append(TraceRow(iter=1, n_grad=2, lam=-1.0, train_loss=loss,
+                              val_loss=loss, test_loss=loss))
+            traces.append(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry, = summarize_traces(traces).entries
+        assert entry.val_mean == 2e160
+        assert math.isclose(entry.val_std, math.sqrt(2.0) * 1e160, rel_tol=1e-15)
+        assert "inf" not in render_summary(SummaryTable([entry]), "aligned-text")
 
     def test_render_alignment(self):
         entry = bench.SolverSummary("a", "sho", 1, 0.01, 0.0, 0.02, 0.0, 0.03, 0.0, 10.0, 0)
@@ -462,6 +494,16 @@ class TestTraceIO:
             back = RunTrace.read_csv(path)
         assert back.note == note
         assert back.meta == meta
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        t = RunTrace(solver="sho", label="s", seed=0)
+        for i in (1, 2):
+            t.append(TraceRow(iter=i, n_grad=2 * i, lam=-1.0, train_loss=0.5, val_loss=0.25))
+        path = tmp_path / "t.trace.csv"
+        t.write_csv(path)
+        path.write_text("\n" + path.read_text().replace("\n", "\n\n"))
+        back = RunTrace.read_csv(path)
+        assert [r.as_cells() for r in back.rows] == [r.as_cells() for r in t.rows]
 
     def test_columns_are_the_row_fields(self):
         assert TRACE_COLUMNS == ("iter", "n_grad", "lambda", "train_loss", "val_loss",

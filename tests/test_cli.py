@@ -132,6 +132,32 @@ def test_bad_solver_params_exit_before_writing(tmp_path, capsys, name, param):
     assert not (tmp_path / "out").exists()
 
 
+def test_wrong_trace_columns_exit_code(tmp_path, capsys):
+    main(["run", str(write_config(tmp_path))])
+    capsys.readouterr()
+    trace = tmp_path / "out" / "sho__rep000.trace.csv"
+    trace.write_text(trace.read_text().replace("iter,n_grad,lambda,", "iter,n_grad,lam,"))
+    assert main(["summarize", str(tmp_path / "out")]) == 1
+    assert "unexpected trace columns in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ("kappa = 50.0", "kappa = 0.5", "kappa must be at least 1"),
+    ("kappa = 50.0", "noise_std = -1", "noise_std must be nonnegative"),
+    ("n = 24\nproblem.d = 4", "n = 4\nproblem.d = 5", "need n >= d for a full-rank design"),
+    ("d = 4", "d = 0", "d must be at least 1"),
+    ("kappa = 50.0", "train_fraction = 0.9", "train and validation fractions must sum below 1"),
+    ("kappa = 50.0", "val_fraction = 0", "fractions must lie in (0, 1)"),
+], ids=["kappa", "noise-std", "n-below-d", "no-feature", "fraction-sum", "fraction-range"])
+def test_bad_problem_values_exit_before_writing(tmp_path, capsys, old, new, reason):
+    text = CONFIG.format(out=tmp_path / "out").replace(f"problem.{old}\n", f"problem.{new}\n")
+    bad = write_config(tmp_path, text)
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err == f"config error: problem: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _validate(path) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -188,6 +214,8 @@ def test_summarize_empty_dir(tmp_path, capsys):
     os.makedirs(tmp_path / "empty")
     assert main(["summarize", str(tmp_path / "empty")]) == 2
     capsys.readouterr()
+    assert main(["curves", str(tmp_path / "empty")]) == 2
+    assert capsys.readouterr().err.startswith("no trace files under ")
 
 
 def test_gradcheck_passes(capsys):

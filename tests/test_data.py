@@ -198,11 +198,29 @@ class TestSplit:
         for part in (tr, va, te):
             assert int(np.sum(part.y == 1.0)) == part.n // 2
 
+    @pytest.mark.parametrize("counts", [(3, 3, 4), (1, 1, 1)])
+    def test_stratified_splits_never_exhaust_a_class(self, counts):
+        # a balanced 10-row table; each split gets its proportional share of
+        # each class to within one row, each run of leading splits to within
+        # half a row, and no row is used twice
+        x = np.arange(10, dtype=float)[:, None]
+        table = RawTable(x, np.array([1.0, -1.0] * 5))
+        parts = split(table, SplitSpec(counts=counts, seed=0, stratified=True))
+        assert tuple(part.n for part in parts) == counts
+        positives = np.array([np.sum(part.y == 1.0) for part in parts])
+        assert np.all(np.abs(positives - np.array(counts) / 2) < 1)
+        assert np.all(np.abs(np.cumsum(positives) - np.cumsum(counts) / 2) <= 0.5)
+        rows = np.concatenate([part.X[:, 0] for part in parts])
+        assert len(np.unique(rows)) == len(rows)
+
     def test_stratified_requires_binary_labels(self):
         rng = np.random.default_rng(6)
-        table = RawTable(rng.standard_normal((12, 2)), rng.standard_normal(12))
-        with pytest.raises(InfeasibleSplit):
-            split(table, SplitSpec(seed=0, stratified=True))
+        x = rng.standard_normal((12, 2))
+        # real-valued, one class only (each way), and a third label
+        for y in (rng.standard_normal(12), np.ones(12), -np.ones(12),
+                  np.array([1.0, -1.0] * 5 + [0.0, 1.0])):
+            with pytest.raises(InfeasibleSplit, match="-1/\\+1 labels"):
+                split(RawTable(x, y), SplitSpec(seed=0, stratified=True))
 
 
 class TestSynthesize:
@@ -235,6 +253,12 @@ class TestSynthesize:
     def test_rejects_rank_deficient_request(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n=4, d=8)
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            SyntheticSpec(n=4, d=0)
+
+    def test_one_feature(self):
+        table = synthesize(SyntheticSpec(n=6, d=1, kappa=1e4, noise_std=0.0, seed=0))
+        assert np.allclose(np.linalg.svd(table.features, compute_uv=False), [1.0])
 
 
 class TestRawTable:
@@ -243,6 +267,15 @@ class TestRawTable:
         x[1, 1] = np.inf
         with pytest.raises(ValueError):
             RawTable(x, np.zeros(3))
+
+    @pytest.mark.parametrize("features, targets, message", [
+        (np.zeros(3), np.zeros(3), "features must be 2-d"),
+        (np.zeros((3, 2)), np.zeros((3, 1)), "targets 1-d"),
+        (np.zeros((3, 2)), np.zeros(2), "feature rows and target entries differ"),
+    ], ids=["1-d-features", "2-d-targets", "row-mismatch"])
+    def test_rejects_bad_shapes(self, features, targets, message):
+        with pytest.raises(ValueError, match=message):
+            RawTable(features, targets)
 
     def test_tables_too_small_to_split_are_caught_at_split_time(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from myhpo.model import (
     DimensionMismatch,
     LossSpec,
     SplitDegenerate,
+    _expit,
+    _fit_curvature,
     best_response,
     grad_lambda_train,
     grad_lambda_val,
@@ -33,6 +36,16 @@ class TestTypes:
         with pytest.raises(DimensionMismatch):
             Dataset(np.zeros((3, 2)), np.zeros(2), "train")
 
+    @pytest.mark.parametrize("x, y, exc", [
+        (np.zeros(2), np.zeros(2), DimensionMismatch),
+        (np.zeros((2, 2)), np.zeros((2, 1)), DimensionMismatch),
+        (np.zeros((0, 2)), np.zeros(0), ValueError),
+        (np.zeros((2, 0)), np.zeros(2), ValueError),
+    ], ids=["1-d-X", "2-d-y", "no-sample", "no-feature"])
+    def test_dataset_rejects_bad_shapes(self, x, y, exc):
+        with pytest.raises(exc):
+            Dataset(x, y, "train")
+
     def test_dataset_rejects_bad_role(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.zeros(2), "holdout")
@@ -50,6 +63,8 @@ class TestTypes:
     def test_best_response_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             BestResponse(np.zeros(2), np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="must be 1-d"):
+            BestResponse(np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 class TestBestResponse:
@@ -156,6 +171,23 @@ class TestLosses:
 
 
 class TestGradients:
+    def test_expit_saturates_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sig = _expit(np.array([-1e6, -800.0, 0.0, 800.0, 1e6]))
+        assert np.array_equal(sig, [0.0, 0.0, 0.5, 1.0, 1.0])
+        assert _expit(np.array([2.0]))[0] == 1.0 / (1.0 + math.exp(-2.0))
+
+    def test_fit_curvature_matches_gradient_differences(self, ls_spec, logit_spec):
+        rng = np.random.default_rng(19)
+        for spec, data in ((ls_spec, random_regression(rng, 12, 4)),
+                           (logit_spec, random_classification(rng, 12, 4))):
+            w, p = rng.standard_normal(4), rng.standard_normal(4)
+            fd = fd_scalar(lambda t: float(p @ grad_w_train(spec, w + t * p, 0.0, data)), 0.0)
+            # the regularizer adds 2 exp(0) ||p||^2 to the data-fit curvature
+            curv = _fit_curvature(spec, w, p, data) + 2.0 * float(p @ p)
+            assert abs(curv - fd) <= 1e-6 * abs(fd)
+
     def test_grad_w_train_hand_value(self, ls_spec):
         train, _ = two_point_sets()
         g = grad_w_train(ls_spec, np.zeros(2), 0.0, train)

@@ -303,7 +303,7 @@ class TestFullStep:
             my_step_full(MyhpoState.initial(2), logit_spec, train, val, cfg)
 
     def test_zero_curvature_falls_back_then_fails(self, logit_spec):
-        """Validation margins of size ~1e6 saturate expit to exactly 0 or 1, so
+        """Validation margins of size ~1e6 saturate the sigmoid to exactly 0 or 1, so
         with rho = 0 the lam curvature is 0 and the Newton candidate is NaN.
         Newton gives up; the gradient fallback, whose step is too small to move
         lam, runs its 50 steps and the solve fails."""
@@ -314,6 +314,32 @@ class TestFullStep:
         cfg = MyhpoConfig(variant="full", rho=0.0, delta=1e-300)
         with pytest.raises(InnerSolveFailed, match="after Newton and fallback"):
             my_step_full(MyhpoState.initial(2), logit_spec, train, val, cfg)
+
+    def test_fallback_stays_inside_the_sign_bracket(self, logit_spec, monkeypatch):
+        """The zero-curvature instance at the default delta: the first gradient
+        step overshoots to a positive derivative, and every later step would
+        leave the bracket the signs have built. The fallback bisects instead."""
+        x = np.array([[2.0, 1.0], [1.0, 3.0], [-2.0, -1.0], [-1.0, -2.5]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        train = Dataset(x, y, "train")
+        val = Dataset(-1e6 * x, y, "validation")
+        seen = []  # (lam, derivative) at every point the lam solve evaluates
+        direction = moreau._lam_direction
+
+        def spy(spec, br, lam, *rest):
+            g = direction(spec, br, lam, *rest)
+            seen.append((lam, g))
+            return g
+
+        monkeypatch.setattr(moreau, "_lam_direction", spy)
+        cfg = MyhpoConfig(variant="full", rho=0.0)
+        with pytest.raises(InnerSolveFailed, match="after Newton and fallback"):
+            my_step_full(MyhpoState.initial(2), logit_spec, train, val, cfg)
+        assert len(seen) == 51 and seen[2][1] > 0 > seen[0][1]
+        lo, hi = -math.inf, math.inf
+        for lam, g in seen:
+            assert lo <= lam <= hi
+            lo, hi = (lo, lam) if g > 0 else (lam, hi)
 
     def test_newton_overshoot_bisects_the_bracket(self, logit_spec, monkeypatch):
         """Two copies of one validation row with opposite labels make the

@@ -7,6 +7,7 @@ Each runs in its own temporary working directory, where the demos and
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,62 @@ def test_run_stability_config(tmp_path):
     written = os.listdir(tmp_path / "bench_out" / "stability")
     assert sum(name.endswith(".trace.csv") for name in written) == 60
     assert {"config_resolved.txt", "summary.csv", "summary.txt"} <= set(written)
+
+
+# refuses scipy, imports every module, runs ``python -m myhpo gradcheck`` and
+# one logistic full step, whose gradient and lam curvature need the sigmoid
+NUMPY_ONLY = textwrap.dedent("""
+    import importlib, importlib.abc, pkgutil, runpy, sys
+
+    class RefuseScipy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                raise ImportError(f"{name} is refused")
+
+    sys.meta_path.insert(0, RefuseScipy())
+    import numpy as np
+    import myhpo
+    for info in pkgutil.iter_modules(myhpo.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"myhpo.{info.name}")
+    sys.argv = ["myhpo", "gradcheck", "--instances", "4"]
+    try:
+        runpy.run_module("myhpo", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((12, 3))
+    y = np.where(x @ np.array([1.0, -1.0, 0.5]) > 0, 1.0, -1.0)
+    train, val = myhpo.Dataset(x, y, "train"), myhpo.Dataset(x[:6], y[:6], "validation")
+    state, _ = myhpo.my_step_full(myhpo.MyhpoState.initial(3), myhpo.LossSpec("logistic"),
+                                  train, val, myhpo.MyhpoConfig(variant="full"))
+    assert np.isfinite(state.lam) and state.grad_count > 2
+    assert not [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+""")
+
+
+def test_runs_without_scipy(tmp_path):
+    out = _run(tmp_path, "-c", NUMPY_ONLY)
+    assert out.returncode == 0, out.stderr
+    assert "gradient check" in out.stdout
+
+
+# the stratified label check avoids np.unique, whose first call imports
+# numpy.ma: a module imported in the middle of the first split leaves its
+# objects on the heap between the table's buffers
+SPLIT_IMPORTS = textwrap.dedent("""
+    import sys
+    import numpy as np
+    import numpy.random
+    from myhpo import data
+
+    table = data.RawTable(np.ones((8, 2)), np.array([1.0, -1.0] * 4))
+    before = set(sys.modules)
+    data.split(table, data.SplitSpec(counts=(4, 2, 2), seed=0, stratified=True))
+    assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+""")
+
+
+def test_stratified_split_imports_no_module(tmp_path):
+    out = _run(tmp_path, "-c", SPLIT_IMPORTS)
+    assert out.returncode == 0, out.stderr
