@@ -26,11 +26,7 @@ spec = LossSpec("least_squares")
 
 # brute-force oracle: validation loss along the exact ridge path
 grid = np.linspace(-8, 2, 201)
-curve = []
-for lam in grid:
-    a = train.gram + 2 * np.exp(lam) * np.eye(train.d)
-    w = np.linalg.solve(a, train.xty)
-    curve.append(val_loss(spec, w, val))
+curve = [val_loss(spec, train.solve_shifted(2 * np.exp(lam), train.xty), val) for lam in grid]
 lam_star = grid[int(np.argmin(curve))]
 print(f"ridge-path validation optimum: lambda ~ {lam_star:+.2f}")
 

@@ -51,11 +51,13 @@ Variants
   iteration). Merit re-evaluations are loss evaluations and are tracked in
   ``loss_eval_count``, never in the gradient ledger.
 - ``full``: exact block minimization. Least-squares subproblems are
-  closed-form linear solves; logistic ones use damped gradient descent;
-  the scalar lam subproblem uses safeguarded Newton with a bisection
-  bracket and a plain gradient fallback. The gradient ledger counts every
-  d-dimensional derivative evaluation (gradients and Newton curvature
-  forms); direct linear solves evaluate no gradients and add nothing.
+  closed-form spectral solves, ``Q ((Q^T b) / (s + c))`` with the
+  training Gram matrix's eigendecomposition ``(s, Q)``: O(d^2) each after
+  one O(d^3) ``eigh`` per training split; logistic ones use damped
+  gradient descent; the scalar lam subproblem uses safeguarded Newton with
+  a bisection bracket and a plain gradient fallback. The gradient ledger
+  counts every d-dimensional derivative evaluation (gradients and Newton
+  curvature forms); spectral solves evaluate no gradients and add nothing.
 """
 
 from __future__ import annotations
@@ -337,17 +339,17 @@ def _minimize_train(spec, lam, train, x0, cfg, ledger, rho=0.0, shift=None):
     """Minimize L_T(x, lam) [+ u.x + (rho/2)||x - target||^2] over x.
 
     ``shift`` bundles the augmentation as (u, target); least squares is a
-    single linear solve, logistic runs damped gradient descent from x0 and
-    returns its current iterate once the ledger is exhausted.
+    single spectral solve on the training split, logistic runs damped
+    gradient descent from x0 and returns its current iterate once the
+    ledger is exhausted.
     """
     exp_lam = _exp(lam)
     if spec.kind == LEAST_SQUARES:
-        a = train.gram + (2.0 * exp_lam + rho) * np.eye(train.d)
         b = train.xty
         if shift is not None:
             u, target = shift
             b = b + (rho * target - u)
-        return np.linalg.solve(a, b)
+        return train.solve_shifted(2.0 * exp_lam + rho, b)
 
     # logistic curvature is at most 1/4 of the Gram matrix's
     lip = train.gram_norm / 4.0 + 2.0 * exp_lam + rho
@@ -505,6 +507,14 @@ class StationarityReport:
     ``lam_grad_abs``       |phi1 . grad_w L_V(G(lam)) - u . phi1|
     ``consensus_gap``      ||w - G(lam)||
     ``hypernet_grad_norm`` ||(lam * g, g)|| with g = grad_w L_T(G(lam), lam)
+
+    ``ok`` compares the four residuals and ``u_norm`` with one absolute
+    ``tol``, which every near-zero model passes. ``relative_residual`` is the
+    largest residual relative to the size of its terms: each norm of a sum
+    over the summed norms of its terms (the data-fit and regularizer parts
+    of a training gradient), and the lam residual over
+    ``||phi1|| (||grad_w L_V|| + ||u||)``. It stays near 1 where the
+    hypernetwork equation has no root however small the model is.
     """
 
     train_grad_norm: float
@@ -513,6 +523,12 @@ class StationarityReport:
     hypernet_grad_norm: float
     u_norm: float
     ok: bool
+    relative_residual: float
+
+
+def _relative(residual: float, scale: float) -> float:
+    """``residual / scale``, 0 where the scale, and so the residual, vanishes."""
+    return residual / scale if scale else 0.0
 
 
 def check_stationarity(
@@ -526,15 +542,28 @@ def check_stationarity(
     iterate ``(w, lam, u)`` through its best response ``br``."""
     w, lam, u, br = state.w, state.lam, state.u, state.br
     gw = best_response(br, lam)
-    e_train = float(np.linalg.norm(grad_w_train(spec, w, lam, train) + u))
-    e_lam = abs(
-        grad_lambda_val(spec, br, lam, val) - float(u @ br.phi1)
-    )
+    two_exp = 2.0 * _exp(lam)
+    u_norm = float(np.linalg.norm(u))
+    g_w = grad_w_train(spec, w, lam, train)
+    e_train = float(np.linalg.norm(g_w + u))
+    g_val = grad_w_val(spec, gw, val)
+    e_lam = abs(float(br.phi1 @ g_val) - float(u @ br.phi1))
     e_gap = float(np.linalg.norm(w - gw))
     g_at_gw = grad_w_train(spec, gw, lam, train)
     e_phi = float(np.linalg.norm(np.concatenate([lam * g_at_gw, g_at_gw])))
-    u_norm = float(np.linalg.norm(u))
     ok = max(e_train, e_lam, e_gap, e_phi, u_norm) <= tol
+
+    def train_scale(g, x):  # ||fit part|| + ||regularizer part|| of a training gradient
+        reg = two_exp * x
+        return float(np.linalg.norm(g - reg) + np.linalg.norm(reg))
+
+    relative = max(
+        _relative(e_train, train_scale(g_w, w) + u_norm),
+        _relative(e_lam, float(np.linalg.norm(br.phi1))
+                  * (float(np.linalg.norm(g_val)) + u_norm)),
+        _relative(e_gap, float(np.linalg.norm(w) + np.linalg.norm(gw))),
+        _relative(e_phi, math.hypot(lam, 1.0) * train_scale(g_at_gw, gw)),
+    )
     return StationarityReport(
         train_grad_norm=e_train,
         lam_grad_abs=e_lam,
@@ -542,4 +571,5 @@ def check_stationarity(
         hypernet_grad_norm=e_phi,
         u_norm=u_norm,
         ok=ok,
+        relative_residual=relative,
     )

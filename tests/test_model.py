@@ -253,3 +253,22 @@ class TestGradients:
             g_reg = grad_lambda_train(w, lam)
             fd_reg = fd_scalar(lambda t: train_loss(ls_spec, w, t, reg), lam)
             assert abs(g_reg - fd_reg) <= 1e-6 * max(abs(fd_reg), 1e-8)
+
+
+class TestSpectralSolve:
+    @pytest.mark.parametrize("n, d", [(60, 10), (30, 50)], ids=["full-rank", "n<d"])
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    @pytest.mark.parametrize("lam", [-8.0, -1.0, 3.0])
+    def test_matches_stacked_lstsq(self, n, d, rho, lam):
+        """(gram + c I) x = xty + rho * target - u with c = 2 exp(lam) + rho is
+        the normal equation of a stacked least-squares problem."""
+        rng = np.random.default_rng(53)
+        train = random_regression(rng, n, d, noise=0.2)
+        u, target = 0.3 * rng.standard_normal(d), rng.standard_normal(d)
+        c = 2.0 * math.exp(lam) + rho
+        x = train.solve_shifted(c, train.xty + (rho * target - u))
+
+        a = np.vstack([train.X / math.sqrt(n), math.sqrt(c) * np.eye(d)])
+        b = np.concatenate([train.y / math.sqrt(n), (rho * target - u) / math.sqrt(c)])
+        oracle = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.linalg.norm(x - oracle) <= 1e-8

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from myhpo.moreau import (
     myhpo_run,
     residuals,
 )
-from conftest import random_regression
+from conftest import random_regression, ridge_solution
 
 
 def one_d_sets():
@@ -491,6 +492,47 @@ class TestRun:
         trace = myhpo_run(MyhpoState.initial(3), ls_spec, train, val, cfg, budget=100)
         assert trace.diverged and not trace.rows and trace.note == ""
 
+    def test_underflowing_weight_decay_on_a_wide_split_stays_finite(self, ls_spec):
+        """rho = 0 and exp(-800) == 0 leave the n < d training system singular:
+        the spectral solve divides by the roundoff eigenvalues of gram as they
+        are, and the run ends finite without a warning."""
+        table = synthesize(SyntheticSpec(n=60, d=50, kappa=1e4, noise_std=0.1, seed=0))
+        train, val, _ = split(table, SplitSpec(train_fraction=0.5, val_fraction=0.25, seed=0))
+        assert train.n < train.d
+        cfg = MyhpoConfig(variant="full", rho=0.0, eps_tol=1e-30, max_iters=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = myhpo_run(MyhpoState.initial(50, lam0=-800.0), ls_spec, train, val,
+                              cfg, budget=10**6)
+        assert len(trace.rows) == 50 and not trace.diverged and trace.note == ""
+        assert all(math.isfinite(x) for r in trace.rows
+                   for x in (r.lam, r.train_loss, r.val_loss, r.r_norm, r.u_norm))
+
+    def test_least_squares_full_variant_decomposes_each_split_once(self, ls_spec, monkeypatch):
+        """The exact least-squares solves never call a dense solver; one
+        eigh per training split serves every run on it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rng = np.random.default_rng(61)
+        cfg = MyhpoConfig(variant="full", eps_tol=1e-30, max_iters=20)
+        for d in (4, 7):
+            train = random_regression(rng, 12, d)
+            val = random_regression(rng, 6, d, role="validation")
+            for _ in range(2):
+                trace = myhpo_run(MyhpoState.initial(d), ls_spec, train, val, cfg, budget=10**6)
+                assert len(trace.rows) == 20 and not trace.diverged and trace.note == ""
+        assert calls == [(4, 4), (7, 7)]
+
 
 class TestStationarity:
     def test_ridge_point_with_zero_dual(self, ls_spec):
@@ -532,3 +574,19 @@ class TestStationarity:
         rep = check_stationarity(ls_spec, state, train, val, tol=1e-4)
         assert rep.ok
         assert rep.u_norm <= 1e-4
+        assert rep.relative_residual <= 1e-4
+
+    def test_relative_residual_flags_a_near_zero_model(self, ls_spec):
+        """At lam = 8 the ridge solution is ~1e-4 in size, so every absolute
+        residual passes 1e-4 although the lam equation has no root there:
+        the relative residual, the cosine of phi1 and grad_w L_V, does not."""
+        rng = np.random.default_rng(67)
+        train = random_regression(rng, 20, 4)
+        val = random_regression(rng, 10, 4, role="validation")
+        lam = 8.0
+        w = ridge_solution(train, lam)
+        state = MyhpoState(v=w, w=w, lam=lam, u=np.zeros(4), br=split_best_response(w, lam))
+        rep = check_stationarity(ls_spec, state, train, val, tol=1e-4)
+        assert rep.ok
+        assert max(rep.train_grad_norm, rep.consensus_gap, rep.hypernet_grad_norm) <= 1e-12
+        assert rep.relative_residual > 0.5
