@@ -80,7 +80,7 @@ from .model import (
     grad_lambda_val,
     grad_w_train,
     grad_w_val,
-    report_losses,
+    report_block,
     require_finite,
     split_best_response,
     train_loss,
@@ -377,7 +377,9 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
     whenever Newton proposes a point outside; falls back to 50 plain
     gradient steps at delta if Newton stalls, bisecting instead of any step
     that leaves a bracket with two finite ends. Returns the current lam once
-    the ledger is exhausted.
+    the ledger is exhausted. Raises ``InnerSolveFailed`` when the fallback
+    ends above tolerance, or as soon as its bracket has collapsed to two
+    adjacent floats, so the midpoint would repeat an evaluated end.
     """
     lam = float(lam0)
     lo, hi = -math.inf, math.inf
@@ -413,6 +415,8 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
         lam -= cfg.delta * g
         if not (lo < lam < hi) and math.isfinite(lo) and math.isfinite(hi):
             lam = 0.5 * (lo + hi)
+            if lam in (lo, hi):  # the bracket has collapsed: bisection cannot move lam
+                break
     raise InnerSolveFailed(f"lam derivative above {cfg.inner_tol:g} after Newton and fallback")
 
 
@@ -469,19 +473,24 @@ def myhpo_run(
     blocks; ``check_stationarity`` on the final state is the certificate.
     Non-finite iterates mark the trace diverged; a degenerate split or a
     failed inner solve stops the run with the reason in the trace note.
-    Losses are reported at the consensus iterate ``w``.
+    Losses are reported at the consensus iterate ``w``, ``BLOCK`` rows per
+    ``report_block`` call (``trace.record_run``): the trace ends at the
+    first non-finite loss, and the up to ``BLOCK - 1`` steps taken past it
+    are discarded.
     """
     if budget < 2:
         raise ValueError("budget must be at least 2")
     solver = VARIANT_SOLVERS[cfg.variant]
     trace = RunTrace(solver=solver, label=label or solver, seed=seed,
                      meta={**asdict(cfg), "budget": budget, "lambda0": init.lam, **(meta or {})})
-    rows = _myhpo_rows(init, spec, train, val, cfg, budget, test)
-    return record_run(trace, rows, stop_errors=(SplitDegenerate, InnerSolveFailed))
+    rows = _myhpo_rows(init, spec, train, val, cfg, budget)
+    return record_run(trace, rows, lambda W, lams: report_block(spec, W, lams, train, val, test),
+                      stop_errors=(SplitDegenerate, InnerSolveFailed))
 
 
-def _myhpo_rows(state, spec, train, val, cfg, budget, test):
-    """Step ``state`` under the budget, yielding one row per iteration."""
+def _myhpo_rows(state, spec, train, val, cfg, budget):
+    """Step ``state`` under the budget, yielding each iteration's row and
+    its consensus iterate ``w``."""
     step_cost = _step_cost(cfg)
     step = my_step_backtracking if cfg.variant == "simplified_backtracking" else my_step_simplified
     while state.iter < cfg.max_iters and state.grad_count + step_cost <= budget:
@@ -491,10 +500,9 @@ def _myhpo_rows(state, spec, train, val, cfg, budget, test):
         else:
             state, res = step(state, spec, train, val, cfg)
         yield TraceRow(state.iter, state.grad_count, state.lam,
-                       *report_losses(spec, state.w, state.lam, train, val, test),
                        r_norm=res.r_norm, s_norm=res.s_norm,
                        u_norm=float(np.linalg.norm(state.u)),
-                       loss_eval_count=state.loss_eval_count)
+                       loss_eval_count=state.loss_eval_count), state.w
         if max(res.r_norm, res.s_norm) < cfg.eps_tol:
             return
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LossSpec, grad_w_train, report_losses
+from .model import Dataset, LossSpec, grad_w_train, report_block
 from .rng import RandomStream
 
 
@@ -101,16 +101,16 @@ def search_run(
     test: Dataset | None,
     cfg: SearchConfig,
 ) -> SearchResult:
-    """Train every candidate and pick the validation argmin."""
+    """Train every candidate, score them all with one ``report_block`` and
+    pick the validation argmin."""
+    ws = [train_model(spec, lam, train, cfg.alpha_train, cfg.n_t) for lam in candidates]
+    tl, vl, sl = report_block(spec, np.stack(ws), candidates, train, val, test)
     evals = []
-    for lam in candidates:
-        w = train_model(spec, lam, train, cfg.alpha_train, cfg.n_t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            tl, vl, sl = report_losses(spec, w, lam, train, val, test)
-        finite = bool(np.all(np.isfinite(w))) and math.isfinite(tl) and math.isfinite(vl)
+    for k, (lam, w) in enumerate(zip(candidates, ws)):
+        finite = bool(np.all(np.isfinite(w))) and math.isfinite(tl[k]) and math.isfinite(vl[k])
         evals.append(
-            CandidateEval(lam=lam, w=w, train_loss=tl, val_loss=vl,
-                          test_loss=sl, diverged=not finite)
+            CandidateEval(lam=lam, w=w, train_loss=float(tl[k]), val_loss=float(vl[k]),
+                          test_loss=None if sl is None else float(sl[k]), diverged=not finite)
         )
     winner = min(evals, key=CandidateEval.rank_key)
     return SearchResult(candidates=evals, winner=winner,

@@ -30,7 +30,7 @@ from .model import (
     best_response,
     grad_lambda_val,
     grad_w_train,
-    report_losses,
+    report_block,
     require_finite,
 )
 from .rng import PRNG_ID, RandomStream
@@ -116,6 +116,9 @@ def sho_run(
     Stops when another iteration would exceed ``budget`` gradient
     evaluations or ``cfg.max_iters`` is reached. A non-finite iterate or
     loss marks the trace diverged and keeps the rows recorded so far.
+    Losses are reported at ``G(lam)``, ``BLOCK`` rows per ``report_block``
+    call (``trace.record_run``); steps taken past the first non-finite
+    loss are discarded.
     """
     if budget < 2:
         raise ValueError("budget must be at least 2")
@@ -123,14 +126,15 @@ def sho_run(
     del params["seed"]  # recorded in the header's own seed line
     trace = RunTrace(solver="sho", label=label, seed=cfg.seed, prng=PRNG_ID,
                      meta={**params, "budget": budget, "lambda0": init.lam, **(meta or {})})
-    return record_run(trace, _sho_rows(init, spec, train, val, cfg, budget, test))
+    return record_run(trace, _sho_rows(init, spec, train, val, cfg, budget),
+                      lambda W, lams: report_block(spec, W, lams, train, val, test))
 
 
-def _sho_rows(state, spec, train, val, cfg, budget, test):
-    """Step ``state`` under the budget, yielding one row per iteration."""
+def _sho_rows(state, spec, train, val, cfg, budget):
+    """Step ``state`` under the budget, yielding each iteration's row and
+    its best response ``G(lam)``."""
     rng = RandomStream(cfg.seed)
     while state.grad_count + STEP_COST <= budget and state.iter < cfg.max_iters:
         state = sho_step(state, spec, train, val, cfg, rng)
-        w = best_response(state.br, state.lam)
-        yield TraceRow(state.iter, state.grad_count, state.lam,
-                       *report_losses(spec, w, state.lam, train, val, test))
+        yield (TraceRow(state.iter, state.grad_count, state.lam),
+               best_response(state.br, state.lam))

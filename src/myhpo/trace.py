@@ -19,14 +19,18 @@ before its column header does not read.
 
 ``record_run`` is the one run loop behind every iterative solver: it
 records the rows a solver yields and turns blowup and solver stop
-exceptions into the trace's divergence flag and note.
+exceptions into the trace's divergence flag and note. Losses are reported
+a block of ``BLOCK`` rows at a time, one matrix product per split for the
+whole block, so a run's solver may step up to ``BLOCK - 1`` rows past the
+first non-finite loss; the trace is cut at that row and the steps past it
+are discarded.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
@@ -34,16 +38,22 @@ import numpy as np
 
 from .model import NonFiniteIterate
 
+# rows whose losses one report call evaluates together
+BLOCK = 64
+
 
 @dataclass
 class TraceRow:
-    """One iteration of a run; its fields, in order, are the trace columns."""
+    """One iteration of a run; its fields, in order, are the trace columns.
+
+    The losses stay NaN until ``record_run`` reports them.
+    """
 
     iter: int
     n_grad: int
     lam: float
-    train_loss: float
-    val_loss: float
+    train_loss: float = math.nan
+    val_loss: float = math.nan
     test_loss: float | None = None
     r_norm: float | None = None
     s_norm: float | None = None
@@ -164,24 +174,59 @@ class RunTrace:
         )
 
 
-def record_run(trace: RunTrace, rows: Iterable[TraceRow], stop_errors: tuple = ()) -> RunTrace:
+def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],
+               report: Callable, stop_errors: tuple = ()) -> RunTrace:
     """Append the rows a solver run yields to ``trace`` and return it.
 
+    The run yields each row, its losses unset, with the iterate they belong
+    to. Rows are buffered ``BLOCK`` at a time and their losses filled in by
+    one ``report(W, lams)`` call, the iterates as the rows of ``W``, which
+    returns per-row train, validation and test (or None) losses as
+    ``model.report_block`` does. The buffer is flushed when it is full, when
+    the run ends, and before a ``NonFiniteIterate`` or stop exception is
+    handled.
+
+    The trace is cut at the first row with a non-finite train or validation
+    loss, which marks it diverged; the up to ``BLOCK - 1`` steps the solver
+    took past that row are discarded. A ``NonFiniteIterate`` raised by the
+    run marks the trace diverged and keeps the rows recorded so far. An
+    exception in ``stop_errors`` ends the run with ``"<ExcName>: <message>"``
+    in the trace note, unless a buffered row has already cut the trace.
     Blowup is detected by isfinite checks, so numpy overflow noise is
-    silenced. A ``NonFiniteIterate`` raised by the run, or a row with a
-    non-finite train or validation loss, marks the trace diverged and keeps
-    the rows recorded so far. An exception in ``stop_errors`` ends the run
-    with ``"<ExcName>: <message>"`` in the trace note.
+    silenced.
     """
+    pending: list[TraceRow] = []
+    iterates = None  # row k holds the iterate of pending[k]
+
+    def flush() -> bool:
+        """Report and append the buffered rows; False once a row cuts the trace."""
+        if not pending:
+            return True
+        train, val, test = report(iterates[:len(pending)], [row.lam for row in pending])
+        for k, row in enumerate(pending):
+            row.train_loss, row.val_loss = float(train[k]), float(val[k])
+            if not (math.isfinite(row.train_loss) and math.isfinite(row.val_loss)):
+                trace.diverged = True
+                return False
+            row.test_loss = None if test is None else float(test[k])
+            trace.append(row)
+        pending.clear()
+        return True
+
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for row in rows:
-                if not (math.isfinite(row.train_loss) and math.isfinite(row.val_loss)):
-                    trace.diverged = True
-                    break
-                trace.append(row)
+            for row, w in rows:
+                if iterates is None:
+                    iterates = np.empty((BLOCK, len(w)))
+                iterates[len(pending)] = w
+                pending.append(row)
+                if len(pending) == BLOCK and not flush():
+                    return trace
+            flush()
         except NonFiniteIterate:
+            flush()
             trace.diverged = True
         except stop_errors as exc:
-            trace.note = f"{type(exc).__name__}: {exc}"
+            if flush():
+                trace.note = f"{type(exc).__name__}: {exc}"
     return trace

@@ -18,6 +18,7 @@ from myhpo.model import (
     grad_lambda_val,
     grad_w_train,
     grad_w_val,
+    report_block,
     split_best_response,
     train_loss,
     val_loss,
@@ -272,3 +273,61 @@ class TestSpectralSolve:
         b = np.concatenate([train.y / math.sqrt(n), (rho * target - u) / math.sqrt(c)])
         oracle = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.linalg.norm(x - oracle) <= 1e-8
+
+
+class TestReportBlock:
+    """``report_block`` against per-row ``train_loss``/``val_loss``."""
+
+    @staticmethod
+    def splits(kind, with_test):
+        rng = np.random.default_rng(11)
+        make = random_regression if kind == "least_squares" else random_classification
+        return (make(rng, 40, 7, "train"), make(rng, 30, 7, "validation"),
+                make(rng, 25, 7, "test") if with_test else None)
+
+    @staticmethod
+    def block(rng):
+        # lam -40 and 3 put the regularizer at both ends of its range
+        return 0.7 * rng.standard_normal((9, 7)), np.linspace(-40.0, 3.0, 9)
+
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("with_test", [False, True])
+    def test_matches_per_row_losses(self, kind, with_test):
+        spec = LossSpec(kind)
+        train, val, test = self.splits(kind, with_test)
+        W, lams = self.block(np.random.default_rng(3))
+        tl, vl, sl = report_block(spec, W, lams, train, val, test)
+        assert tl.shape == vl.shape == (9,)
+        for k, (w, lam) in enumerate(zip(W, lams)):
+            assert tl[k] == pytest.approx(train_loss(spec, w, lam, train), rel=1e-12)
+            assert vl[k] == pytest.approx(val_loss(spec, w, val), rel=1e-12)
+            if with_test:
+                assert sl[k] == pytest.approx(val_loss(spec, w, test), rel=1e-12)
+        assert (sl is None) == (not with_test)
+
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_row_leaves_the_others_unchanged(self, kind, bad):
+        spec = LossSpec(kind)
+        train, val, test = self.splits(kind, True)
+        W, lams = self.block(np.random.default_rng(4))
+        clean = report_block(spec, W, lams, train, val, test)
+        W[4, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dirty = report_block(spec, W, lams, train, val, test)
+        others = np.arange(9) != 4
+        for before, after in zip(clean, dirty):
+            assert np.all(np.isfinite(after[others]))
+            np.testing.assert_array_equal(after[others], before[others])
+        assert not math.isfinite(dirty[0][4])
+
+    def test_checks_roles_and_width(self, ls_spec):
+        train, val, test = self.splits("least_squares", True)
+        W, lams = self.block(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="role"):
+            report_block(ls_spec, W, lams, val, val, test)
+        with pytest.raises(ValueError, match="role"):
+            report_block(ls_spec, W, lams, train, val, train)
+        with pytest.raises(DimensionMismatch):
+            report_block(ls_spec, W[:, :6], lams, train, val, test)

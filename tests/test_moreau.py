@@ -336,11 +336,40 @@ class TestFullStep:
         cfg = MyhpoConfig(variant="full", rho=0.0)
         with pytest.raises(InnerSolveFailed, match="after Newton and fallback"):
             my_step_full(MyhpoState.initial(2), logit_spec, train, val, cfg)
+        # all 50 fallback evaluations run: the bracket ends about 1e-11 wide
+        # around lam 41.83, far wider than two adjacent floats
         assert len(seen) == 51 and seen[2][1] > 0 > seen[0][1]
         lo, hi = -math.inf, math.inf
         for lam, g in seen:
             assert lo <= lam <= hi
             lo, hi = (lo, lam) if g > 0 else (lam, hi)
+
+    def test_fallback_stops_once_its_bracket_collapses(self, logit_spec, monkeypatch):
+        """The zero-curvature instance with a scripted lam derivative that
+        jumps from -s to +s at c and never vanishes: the fallback brackets c
+        and bisects until the bracket's ends are adjacent floats, then raises
+        without evaluating either end again."""
+        x = np.array([[2.0, 1.0], [1.0, 3.0], [-2.0, -1.0], [-1.0, -2.5]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        train = Dataset(x, y, "train")
+        val = Dataset(-1e6 * x, y, "validation")
+        s, c = 2.0 ** -20, -1.0 + 2.0 ** -22
+        seen = []
+
+        def jump(spec, br, lam, *rest):
+            seen.append(lam)
+            return -s if lam < c else s
+
+        monkeypatch.setattr(moreau, "_lam_direction", jump)
+        with pytest.raises(InnerSolveFailed, match="after Newton and fallback"):
+            my_step_full(MyhpoState.initial(2), logit_spec, train,
+                         val, MyhpoConfig(variant="full", rho=0.0))
+        # Newton evaluates -1.0 once; the fallback starts there again
+        assert seen[:2] == [-1.0, -1.0] and len(set(seen[1:])) == len(seen) - 1
+        assert len(seen) == 35
+        lo = max(lam for lam in seen if lam < c)
+        hi = min(lam for lam in seen if lam >= c)
+        assert np.nextafter(lo, math.inf) == hi
 
     def test_newton_overshoot_bisects_the_bracket(self, logit_spec, monkeypatch):
         """Two copies of one validation row with opposite labels make the

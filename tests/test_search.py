@@ -123,6 +123,12 @@ class TestSearchRun:
         diverged = [c for c in res.candidates if c.diverged]
         assert diverged, "expected the heavily regularized candidate to blow up"
         assert not res.winner.diverged
+        assert not np.all(np.isfinite(res.candidates[0].w))
+        assert sorted(res.candidates, key=CandidateEval.rank_key)[-1].lam == 5.0
+        # scored in one block, the blown-up candidate leaves the other's losses alone
+        alone = search_run(ls_spec, [-10.0], train, val, test, cfg).winner
+        assert (res.winner.train_loss, res.winner.val_loss, res.winner.test_loss) == pytest.approx(
+            (alone.train_loss, alone.val_loss, alone.test_loss), rel=1e-12)
 
     def test_tie_breaks_to_smaller_lambda(self, ls_spec):
         train, val, test = self.small_sets()

@@ -1,0 +1,138 @@
+"""The block contract of ``trace.record_run``: rows are reported ``BLOCK`` at a
+time, the trace is cut at the first non-finite loss, and stop exceptions are
+handled only after the buffered rows."""
+
+import math
+
+import numpy as np
+import pytest
+
+from myhpo.model import (
+    LossSpec,
+    NonFiniteIterate,
+    SplitDegenerate,
+    report_block,
+    train_loss,
+    val_loss,
+)
+from myhpo.moreau import MyhpoConfig, MyhpoState, my_step_full, myhpo_run
+from myhpo.trace import BLOCK, RunTrace, TraceRow, record_run
+from conftest import random_regression
+
+SPEC = LossSpec("least_squares")
+STOPS = (SplitDegenerate,)
+
+
+def splits():
+    rng = np.random.default_rng(2)
+    return (random_regression(rng, 12, 3, "train"), random_regression(rng, 10, 3, "validation"),
+            random_regression(rng, 8, 3, "test"))
+
+
+def iterate(i):
+    """The scripted iterate of row ``i``: finite, distinct per row."""
+    return np.array([0.1 * i, -0.05 * i, 1.0 / i])
+
+
+class Script:
+    """Yields rows 1..n with their iterates, NaN iterates at ``bad`` rows,
+    then raises ``raise_at_end`` if given; counts the rows it produced."""
+
+    def __init__(self, n, bad=(), raise_at_end=None):
+        self.n, self.bad, self.raise_at_end = n, set(bad), raise_at_end
+        self.produced = 0
+
+    def __iter__(self):
+        for i in range(1, self.n + 1):
+            self.produced = i
+            w = np.full(3, math.nan) if i in self.bad else iterate(i)
+            yield TraceRow(i, 2 * i, -1.0 + 0.01 * i), w
+        if self.raise_at_end is not None:
+            raise self.raise_at_end
+
+
+def record(script):
+    train, val, test = splits()
+    calls = []
+
+    def report(W, lams):
+        calls.append(len(W))
+        return report_block(SPEC, W, lams, train, val, test)
+
+    trace = record_run(RunTrace("scripted", "scripted", 0), script, report, STOPS)
+    return trace, calls
+
+
+def assert_rows_match_oracle(trace, n):
+    """Rows 1..n in order, each with its per-row train, validation and test loss."""
+    train, val, test = splits()
+    assert [row.iter for row in trace.rows] == list(range(1, n + 1))
+    for row in trace.rows:
+        w = iterate(row.iter)
+        assert row.train_loss == pytest.approx(train_loss(SPEC, w, row.lam, train), rel=1e-12)
+        assert row.val_loss == pytest.approx(val_loss(SPEC, w, val), rel=1e-12)
+        assert row.test_loss == pytest.approx(val_loss(SPEC, w, test), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
+def test_every_row_is_reported_a_block_at_a_time(n):
+    trace, calls = record(Script(n))
+    assert_rows_match_oracle(trace, n)
+    assert not trace.diverged and trace.note == ""
+    assert calls == [BLOCK] * (n // BLOCK) + ([n % BLOCK] if n % BLOCK else [])
+
+
+def test_a_non_finite_loss_cuts_the_trace_and_discards_the_block_tail():
+    script = Script(3 * BLOCK, bad=[BLOCK + 5])
+    trace, calls = record(script)
+    assert_rows_match_oracle(trace, BLOCK + 4)
+    assert trace.diverged and trace.note == ""
+    assert script.produced == 2 * BLOCK  # the solver stopped at the end of the cut block
+    assert calls == [BLOCK, BLOCK]
+
+
+def test_non_finite_loss_then_non_finite_iterate_in_one_block():
+    trace, _ = record(Script(BLOCK + 10, bad=[BLOCK + 3],
+                             raise_at_end=NonFiniteIterate("non-finite iterate")))
+    assert_rows_match_oracle(trace, BLOCK + 2)
+    assert trace.diverged and trace.note == ""
+
+
+def test_non_finite_iterate_keeps_every_buffered_row():
+    trace, _ = record(Script(BLOCK + 10, raise_at_end=NonFiniteIterate("non-finite iterate")))
+    assert_rows_match_oracle(trace, BLOCK + 10)
+    assert trace.diverged and trace.note == ""
+
+
+def test_stop_error_after_a_non_finite_loss_leaves_the_note_empty():
+    trace, _ = record(Script(7, bad=[4], raise_at_end=SplitDegenerate("|lam| too small")))
+    assert_rows_match_oracle(trace, 3)
+    assert trace.diverged and trace.note == ""
+
+
+def test_stop_error_keeps_every_buffered_row_and_its_note():
+    trace, _ = record(Script(BLOCK + 7, raise_at_end=SplitDegenerate("|lam| too small")))
+    assert_rows_match_oracle(trace, BLOCK + 7)
+    assert not trace.diverged and trace.note == "SplitDegenerate: |lam| too small"
+
+
+def test_an_eps_tol_stop_inside_a_block_reports_every_row():
+    """A least-squares myhpo_full run on an 80 x 3 split stops on the rule
+    at iteration 66, inside its second block; its rows carry the per-row
+    losses at the consensus iterate."""
+    rng = np.random.default_rng(12)
+    train, val = random_regression(rng, 80, 3, "train"), random_regression(rng, 60, 3, "validation")
+    cfg = MyhpoConfig(variant="full", eps_tol=1e-6, max_iters=500)
+    trace = myhpo_run(MyhpoState.initial(3), SPEC, train, val, cfg, budget=10_000)
+    n = len(trace.rows)
+    assert n == 66 and not trace.diverged and trace.note == ""
+    last = trace.rows[-1]
+    assert max(last.r_norm, last.s_norm) < cfg.eps_tol
+    assert all(max(row.r_norm, row.s_norm) >= cfg.eps_tol for row in trace.rows[:-1])
+    # the rows' iterates, replayed step by step from the same start
+    state = MyhpoState.initial(3)
+    for row in trace.rows:
+        state, _ = my_step_full(state, SPEC, train, val, cfg)
+        assert row.train_loss == pytest.approx(train_loss(SPEC, state.w, state.lam, train),
+                                               rel=1e-12)
+        assert row.val_loss == pytest.approx(val_loss(SPEC, state.w, val), rel=1e-12)

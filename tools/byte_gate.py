@@ -27,11 +27,25 @@ Compare a change with its parent::
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python3 tools/byte_gate.py ../parent/src
     python3 tools/byte_gate.py src
+
+When the digests differ, compare mode says whether only the reported
+losses moved::
+
+    python3 tools/byte_gate.py --compare ../parent/src src
+
+runs the three CLI groups on both sides and reads every ``*.trace.csv``
+both left. It requires the same trace files, each command's exit code and
+stderr, each trace's header lines (``diverged``, ``note`` and the
+parameters among them), row count and ledger cells (``iter``, ``n_grad``,
+``loss_eval_count``) and ``lambda`` to be identical, and prints the largest
+relative difference in each other column, with the trace and row where it
+occurs. It exits 1 when anything required differs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -139,19 +153,27 @@ def _demo_runs(src: str) -> list[tuple[str, list[str]]]:
             for name in sorted(os.listdir(demos)) if name.endswith(".py")]
 
 
-def _group(src: str, files: dict[str, str], runs: list[tuple[str, list[str]]]) -> str:
-    """Write ``files``, run each ``(label, python arguments)`` of ``runs`` and
-    digest what they leave."""
+def _run(src: str, files: dict[str, str], runs: list[tuple[str, list[str]]],
+         work: str) -> list[tuple[str, int, bytes, bytes]]:
+    """Write ``files`` into ``work``, run each ``(label, python arguments)`` of
+    ``runs`` there and return each label with its exit code, stdout and stderr."""
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    for name, text in files.items():
+        with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    captures = []
+    for label, args in runs:
+        done = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True)
+        captures.append((label, done.returncode, done.stdout, done.stderr))
+    return captures
+
+
+def _group(src: str, files: dict[str, str], runs: list[tuple[str, list[str]]]) -> str:
+    """Digest every command's capture and every file the runs leave."""
     with tempfile.TemporaryDirectory() as work:
-        for name, text in files.items():
-            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
         listing = []
-        for i, (label, args) in enumerate(runs):
-            done = subprocess.run([sys.executable, *args], cwd=work, env=env,
-                                  capture_output=True)
-            capture = b"%d\n%s\n%s" % (done.returncode, done.stdout, done.stderr)
+        for i, (label, code, out, err) in enumerate(_run(src, files, runs, work)):
+            capture = b"%d\n%s\n%s" % (code, out, err)
             listing.append(f"{_digest(capture)}  command {i}: {label}")
         for base, _, names in os.walk(work):
             for name in names:
@@ -161,20 +183,102 @@ def _group(src: str, files: dict[str, str], runs: list[tuple[str, list[str]]]) -
     return _digest("\n".join(sorted(listing)).encode())
 
 
+def _cli_groups() -> dict[str, dict[str, str]]:
+    """Name -> the files written before the six CLI commands run on its config."""
+    with open(os.path.join(ROOT, "demos", "configs", "stability.cfg"), encoding="utf-8") as fh:
+        stability = fh.read()
+    return {"stability": {"stability.cfg": stability},
+            "logistic": {"gate.cfg": LOGISTIC, "data.csv": _classes_csv()},
+            "least_squares": {"gate.cfg": LEAST_SQUARES}}
+
+
+# trace columns that must match exactly; every other column is compared numerically
+EXACT_COLUMNS = ("iter", "n_grad", "lambda", "loss_eval_count")
+
+
+def _read_traces(work: str) -> dict[str, tuple[list[str], list[str], list[list[str]]]]:
+    """Relative path -> (header lines, column names, row cells) of every trace."""
+    traces = {}
+    for base, _, names in os.walk(work):
+        for name in (n for n in names if n.endswith(".trace.csv")):
+            path = os.path.join(base, name)
+            with open(path, encoding="utf-8", newline="\n") as fh:
+                lines = fh.read().splitlines()
+            header = [line for line in lines if line.startswith("#")]
+            table = [line.split(",") for line in lines if line and not line.startswith("#")]
+            traces[os.path.relpath(path, work)] = (header, table[0], table[1:])
+    return traces
+
+
+def _relative(a: str, b: str) -> float:
+    """Relative difference of two numeric cells: 0 when they are equal, inf
+    when exactly one is empty or non-finite."""
+    if a == b:
+        return 0.0
+    if "" in (a, b):
+        return math.inf
+    x, y = float(a), float(b)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _compare_group(name: str, parent: str, src: str, files: dict[str, str]) -> list[str]:
+    """Run the group on both sides; print its per-column drift and return
+    what differs where it must not."""
+    runs = _cli_runs(next(n for n in files if n.endswith(".cfg")))
+    with tempfile.TemporaryDirectory() as work_a, tempfile.TemporaryDirectory() as work_b:
+        caps_a, caps_b = _run(parent, files, runs, work_a), _run(src, files, runs, work_b)
+        traces_a, traces_b = _read_traces(work_a), _read_traces(work_b)
+    problems = []
+    for (label, code_a, _, err_a), (_, code_b, _, err_b) in zip(caps_a, caps_b):
+        if (code_a, err_a) != (code_b, err_b):
+            problems.append(f"{name}: command {label!r}: exit code or stderr differs")
+    if traces_a.keys() != traces_b.keys():
+        problems.append(f"{name}: trace files differ: {sorted(traces_a.keys() ^ traces_b.keys())}")
+    drift: dict[str, tuple[float, str]] = {}
+    for path in sorted(traces_a.keys() & traces_b.keys()):
+        (head_a, cols, rows_a), (head_b, cols_b, rows_b) = traces_a[path], traces_b[path]
+        if (head_a, cols, len(rows_a)) != (head_b, cols_b, len(rows_b)):
+            problems.append(f"{name}: {path}: header, columns or row count differ")
+            continue
+        for k, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=1):
+            for col, a, b in zip(cols, row_a, row_b):
+                if col in EXACT_COLUMNS:
+                    if a != b:
+                        problems.append(f"{name}: {path}: row {k}: {col} {a} != {b}")
+                elif _relative(a, b) > drift.get(col, (-1.0, ""))[0]:
+                    drift[col] = (_relative(a, b), f"{path} row {k}")
+    print(f"{name}: {len(traces_a)} traces, {sum(len(t[2]) for t in traces_a.values())} rows")
+    for col, (rel, where) in drift.items():
+        print(f"  {col:<16} max relative difference {rel:.3g}" + (f"  ({where})" if rel else ""))
+    return problems
+
+
+def compare(parent: str, src: str) -> int:
+    """Compare mode: exit 0 when only the numeric columns moved, else 1."""
+    problems = []
+    for name, files in _cli_groups().items():
+        problems += _compare_group(name, parent, src, files)
+    for problem in problems[:20]:
+        print(f"DIFFERS {problem}")
+    if len(problems) > 20:
+        print(f"... and {len(problems) - 20} more")
+    print("identical ledger, lambda, flags, notes and stderr" if not problems
+          else f"{len(problems)} differences")
+    return 1 if problems else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(os.path.abspath(argv[1]), os.path.abspath(argv[2]))
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     src = os.path.abspath(argv[0])
-    with open(os.path.join(ROOT, "demos", "configs", "stability.cfg"), encoding="utf-8") as fh:
-        stability = fh.read()
-    groups = {
-        "stability": _group(src, {"stability.cfg": stability}, _cli_runs("stability.cfg")),
-        "logistic": _group(src, {"gate.cfg": LOGISTIC, "data.csv": _classes_csv()},
-                           _cli_runs("gate.cfg")),
-        "least_squares": _group(src, {"gate.cfg": LEAST_SQUARES}, _cli_runs("gate.cfg")),
-        "demos": _group(src, {}, _demo_runs(src)),
-    }
+    groups = {name: _group(src, files, _cli_runs(next(n for n in files if n.endswith(".cfg"))))
+              for name, files in _cli_groups().items()}
+    groups["demos"] = _group(src, {}, _demo_runs(src))
     lines = [f"{name} {digest}" for name, digest in groups.items()]
     print("\n".join(lines))
     print(f"overall {_digest(chr(10).join(lines).encode())}")
