@@ -24,7 +24,7 @@ Schema (defaults in parentheses):
     problem.stratified      true | false                     (false)
     budget_n_g              shared gradient budget           (required, >= 2)
     repetitions             (1)
-    seed                    base seed; run r uses seed + r   (0)
+    seed                    base seed; run r uses seed + r   (0; >= 0)
     output_dir              (bench_out)
     solver[i].name          sho | myhpo_c | myhpo_bt | myhpo_full | random | grid
     solver[i].label         column label                     (name)
@@ -224,6 +224,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if repetitions < 1:
         raise SchemaError("repetitions", f"must be at least 1, got {repetitions}")
     seed = top.get("seed", 0)
+    if seed < 0:
+        raise SchemaError("seed", f"must be nonnegative, got {seed}")
     output_dir = top.get("output_dir", "bench_out")
 
     return ExperimentConfig(

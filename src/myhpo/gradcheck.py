@@ -93,7 +93,10 @@ def _random_instance(rng, kind: str, d_max: int, n_max: int):
 
 def run_gradcheck(n_instances: int = 120, seed: int = 0,
                   d_max: int = 20, n_max: int = 50) -> GradcheckReport:
-    """Compare every analytic gradient against central differences."""
+    """Compare every analytic gradient against central differences on
+    instances that alternate the two losses, so at least two are needed."""
+    if n_instances < 2:
+        raise ValueError(f"gradcheck needs at least 2 instances (one per loss), got {n_instances}")
     rng = np.random.default_rng(seed)
     errors = {key: 0.0 for key in THRESHOLDS}
 

@@ -54,8 +54,8 @@ Variants
   closed-form spectral solves, ``Q ((Q^T b) / (s + c))`` with the
   training Gram matrix's eigendecomposition ``(s, Q)``: O(d^2) each after
   one O(d^3) ``eigh`` per training split; logistic ones use damped
-  gradient descent; the scalar lam subproblem uses safeguarded Newton with
-  a bisection bracket and a plain gradient fallback. The gradient ledger
+  gradient descent; the scalar lam subproblem takes Newton steps (gradient
+  steps once Newton fails) in a bisected sign bracket. The gradient ledger
   counts every d-dimensional derivative evaluation (gradients and Newton
   curvature forms); spectral solves evaluate no gradients and add nothing.
 """
@@ -371,18 +371,19 @@ def _minimize_train(spec, lam, train, x0, cfg, ledger, rho=0.0, shift=None):
 
 
 def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
-    """Scalar subproblem solve: safeguarded Newton on the lam derivative.
+    """Scalar subproblem solve: bracketed Newton on the lam derivative.
 
-    Keeps a sign bracket from every derivative it evaluates and bisects it
-    whenever Newton proposes a point outside; falls back to 50 plain
-    gradient steps at delta if Newton stalls, bisecting instead of any step
-    that leaves a bracket with two finite ends. Returns the current lam once
-    the ledger is exhausted. Raises ``InnerSolveFailed`` when the fallback
-    ends above tolerance, or as soon as its bracket has collapsed to two
-    adjacent floats, so the midpoint would repeat an evaluated end.
+    Each of at most 50 derivatives narrows a sign bracket. The next lam is
+    the Newton step, or, from the first time Newton gives no finite step, a
+    gradient step at delta with no more curvature; a step that leaves a
+    bracket with two finite ends becomes its midpoint. Returns the current
+    lam once the ledger is exhausted. Raises ``InnerSolveFailed`` after 50
+    derivatives, or once the next lam would be an end of the bracket (lam
+    itself or an evaluated point), so no point is evaluated twice.
     """
     lam = float(lam0)
     lo, hi = -math.inf, math.inf
+    newton = True
     for _ in range(50):
         if ledger.exhausted:
             return lam
@@ -391,32 +392,22 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
         if abs(g) <= cfg.inner_tol:
             return lam
         lo, hi = (lo, lam) if g > 0 else (lam, hi)
-        if ledger.exhausted:
-            return lam
-        # second derivative in lam of the augmented validation objective
-        curv = (_fit_curvature(spec, best_response(br, lam), br.phi1, val)
-                + rho * float(br.phi1 @ br.phi1))
-        ledger.spend(1)
-        cand = lam - g / curv if curv > 1e-300 else math.nan
-        if not math.isfinite(cand) or not (lo < cand < hi):
-            if math.isfinite(lo) and math.isfinite(hi):
-                cand = 0.5 * (lo + hi)
-            else:
-                break
+        if newton:
+            if ledger.exhausted:
+                return lam
+            # second derivative in lam of the augmented validation objective
+            curv = (_fit_curvature(spec, best_response(br, lam), br.phi1, val)
+                    + rho * float(br.phi1 @ br.phi1))
+            ledger.spend(1)
+            cand = lam - g / curv if curv > 1e-300 else math.nan
+            newton = math.isfinite(cand)
+        if not newton:
+            cand = lam - cfg.delta * g
+        if not (lo < cand < hi) and math.isfinite(lo) and math.isfinite(hi):
+            cand = 0.5 * (lo + hi)
+        if not lo < cand < hi:  # an end of the bracket: lam, or a point already evaluated
+            break
         lam = cand
-    for _ in range(50):
-        if ledger.exhausted:
-            return lam
-        g = _lam_direction(spec, br, lam, w_new, u, rho, val)
-        ledger.spend(1)
-        if abs(g) <= cfg.inner_tol:
-            return lam
-        lo, hi = (lo, lam) if g > 0 else (lam, hi)
-        lam -= cfg.delta * g
-        if not (lo < lam < hi) and math.isfinite(lo) and math.isfinite(hi):
-            lam = 0.5 * (lo + hi)
-            if lam in (lo, hi):  # the bracket has collapsed: bisection cannot move lam
-                break
     raise InnerSolveFailed(f"lam derivative above {cfg.inner_tol:g} after Newton and fallback")
 
 

@@ -132,6 +132,32 @@ def test_bad_solver_params_exit_before_writing(tmp_path, capsys, name, param):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["config", "override"])
+def test_negative_seed_exits_before_writing(tmp_path, capsys, where):
+    text = CONFIG.format(out=tmp_path / "out")
+    if where == "config":
+        args, key, text = [], "seed", text + "seed = -1\n"
+    else:
+        args, key = ["--seed", "-1"], "--seed"
+    bad = write_config(tmp_path, text)
+    for command in ([*args, "validate", str(bad)], [*args, "run", str(bad)]):
+        assert main(command) == 1
+        assert capsys.readouterr().err == f"config error: {key}: must be nonnegative, got -1\n"
+    assert not (tmp_path / "out").exists()
+    if where == "override":
+        assert main(["--seed", "-1", "gradcheck", "--instances", "2"]) == 1
+        assert capsys.readouterr().err == "config error: --seed: must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("instances", ["0", "-3", "1"])
+def test_gradcheck_refuses_fewer_instances_than_losses(capsys, instances):
+    assert main(["gradcheck", "--instances", instances]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: gradcheck needs at least 2 instances "
+                            f"(one per loss), got {instances}\n")
+
+
 def test_wrong_trace_columns_exit_code(tmp_path, capsys):
     main(["run", str(write_config(tmp_path))])
     capsys.readouterr()

@@ -37,6 +37,21 @@ def one_d_sets():
     return Dataset([[1.0]], [1.0], "train"), Dataset([[1.0]], [1.0], "validation")
 
 
+def lam_solve_sets(case):
+    """(train, validation, d) of the constructed lam-solve instances: saturated
+    validation margins (every case but one), or a validation loss whose lam
+    derivative is a tanh that Newton overshoots (``overshoot``)."""
+    if case != "overshoot":
+        x = np.array([[2.0, 1.0], [1.0, 3.0], [-2.0, -1.0], [-1.0, -2.5]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        return Dataset(x, y, "train"), Dataset(-1e6 * x, y, "validation"), 2
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((8, 3))
+    train = Dataset(x, np.sign(x @ np.array([1.0, -1.0, 0.5])), "train")
+    x0 = 30.0 * rng.standard_normal(3)
+    return train, Dataset(np.vstack([x0, x0]), [1.0, -1.0], "validation"), 3
+
+
 def zero_target_instance(d=3, n=4, seed=0):
     """y = 0 makes (v=w=u=0, any lam) an exact stationary point."""
     rng = np.random.default_rng(seed)
@@ -306,8 +321,8 @@ class TestFullStep:
     def test_zero_curvature_falls_back_then_fails(self, logit_spec):
         """Validation margins of size ~1e6 saturate the sigmoid to exactly 0 or 1, so
         with rho = 0 the lam curvature is 0 and the Newton candidate is NaN.
-        Newton gives up; the gradient fallback, whose step is too small to move
-        lam, runs its 50 steps and the solve fails."""
+        Newton gives up; the gradient step is too small to move lam, so the
+        solve fails at once."""
         x = np.array([[2.0, 1.0], [1.0, 3.0], [-2.0, -1.0], [-1.0, -2.5]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         train = Dataset(x, y, "train")
@@ -336,9 +351,9 @@ class TestFullStep:
         cfg = MyhpoConfig(variant="full", rho=0.0)
         with pytest.raises(InnerSolveFailed, match="after Newton and fallback"):
             my_step_full(MyhpoState.initial(2), logit_spec, train, val, cfg)
-        # all 50 fallback evaluations run: the bracket ends about 1e-11 wide
-        # around lam 41.83, far wider than two adjacent floats
-        assert len(seen) == 51 and seen[2][1] > 0 > seen[0][1]
+        # all 50 evaluations run: the bracket ends about 1e-11 wide around
+        # lam 41.83, far wider than two adjacent floats
+        assert len(seen) == 50 and seen[1][1] > 0 > seen[0][1]
         lo, hi = -math.inf, math.inf
         for lam, g in seen:
             assert lo <= lam <= hi
@@ -364,9 +379,9 @@ class TestFullStep:
         with pytest.raises(InnerSolveFailed, match="after Newton and fallback"):
             my_step_full(MyhpoState.initial(2), logit_spec, train,
                          val, MyhpoConfig(variant="full", rho=0.0))
-        # Newton evaluates -1.0 once; the fallback starts there again
-        assert seen[:2] == [-1.0, -1.0] and len(set(seen[1:])) == len(seen) - 1
-        assert len(seen) == 35
+        # Newton evaluates -1.0 once; the gradient steps never return to it
+        assert seen[0] == -1.0 and len(set(seen)) == len(seen)
+        assert len(seen) == 34
         lo = max(lam for lam in seen if lam < c)
         hi = min(lam for lam in seen if lam >= c)
         assert np.nextafter(lo, math.inf) == hi
@@ -398,6 +413,49 @@ class TestFullStep:
             bisected |= nxt == 0.5 * (lo + hi)
         assert bisected
         assert abs(seen[-1][1]) <= cfg.inner_tol
+
+    @pytest.mark.parametrize("case", ["saturated", "saturated-tiny-delta", "jump-rho0",
+                                      "jump-rho1", "overshoot"])
+    def test_lam_solve_evaluates_each_point_once(self, logit_spec, monkeypatch, case):
+        """Every lam the solve evaluates is new and lies inside the sign bracket
+        the earlier derivatives set. A step that cannot move lam (delta =
+        1e-300) fails after one derivative; a bracket collapsed onto the
+        scripted jump, with Newton curvature at rho = 1, fails once its ends
+        are adjacent floats."""
+        train, val, d = lam_solve_sets(case)
+        cfg = MyhpoConfig(variant="full", rho=1.0 if case in ("jump-rho1", "overshoot") else 0.0,
+                          delta=1e-300 if case == "saturated-tiny-delta" else 0.5,
+                          inner_tol=1e-10 if case == "overshoot" else 1e-8)
+        s, c = 2.0 ** -20, -1.0 + 2.0 ** -22
+        direction = moreau._lam_direction
+        seen = []  # (lam, derivative) at every point the lam solve evaluates
+
+        def spy(spec, br, lam, *rest):
+            if case.startswith("jump"):
+                g = -s if lam < c else s
+            else:
+                g = direction(spec, br, lam, *rest)
+            seen.append((lam, g))
+            return g
+
+        monkeypatch.setattr(moreau, "_lam_direction", spy)
+        if case == "overshoot":
+            my_step_full(MyhpoState.initial(d), logit_spec, train, val, cfg)
+            assert abs(seen[-1][1]) <= cfg.inner_tol
+        else:
+            with pytest.raises(InnerSolveFailed, match="after Newton and fallback"):
+                my_step_full(MyhpoState.initial(d), logit_spec, train, val, cfg)
+        lams = [lam for lam, _ in seen]
+        assert len(set(lams)) == len(lams)
+        lo, hi = -math.inf, math.inf
+        for lam, g in seen:
+            assert lo < lam < hi
+            lo, hi = (lo, lam) if g > 0 else (lam, hi)
+        expected = {"saturated-tiny-delta": 1, "jump-rho0": 34, "jump-rho1": 45}
+        if case in expected:
+            assert len(seen) == expected[case]
+        if case == "jump-rho1":
+            assert np.nextafter(lo, math.inf) == hi
 
 
 class TestFixedPoint:

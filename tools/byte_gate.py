@@ -11,8 +11,8 @@ in four groups, each in a fresh temporary directory:
   ``demos/configs/stability.cfg`` and on two gate configs this script
   writes, a logistic csv problem and a synthetic least-squares problem,
   with a relative ``output_dir`` and relative data paths, through ``run``,
-  ``summarize``, ``curves --x iter``, ``curves --x n_grad``, ``validate``
-  and ``--seed 7 validate``;
+  ``summarize``, ``curves --x iter`` and ``curves --x n_grad`` on the
+  config's ``output_dir``, ``validate`` and ``--seed 7 validate``;
 - ``demos``: every ``*.py`` script in ``SRC/../demos``, the demos of the
   checkout that owns ``SRC``, so each side runs its own calls into the
   Python API.
@@ -20,7 +20,8 @@ in four groups, each in a fresh temporary directory:
 The script prints one sha256 per group, over every file left in its
 directory and every command's exit code, stdout and stderr, then one
 overall sha256 over those lines. Two checkouts that print the same digests
-wrote byte-identical outputs.
+wrote byte-identical outputs. Every command must exit 0: the script names
+each one that does not and exits 1.
 
 Compare a change with its parent::
 
@@ -39,7 +40,8 @@ stderr, each trace's header lines (``diverged``, ``note`` and the
 parameters among them), row count and ledger cells (``iter``, ``n_grad``,
 ``loss_eval_count``) and ``lambda`` to be identical, and prints the largest
 relative difference in each other column, with the trace and row where it
-occurs. It exits 1 when anything required differs.
+occurs. It exits 1 when anything required differs or a command exits
+non-zero on either side.
 """
 
 from __future__ import annotations
@@ -138,10 +140,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _cli_runs(cfg: str) -> list[tuple[str, list[str]]]:
-    """The six CLI commands on ``cfg``, labelled by their arguments."""
-    commands = [["run", cfg], ["summarize", "out"], ["curves", "out", "--x", "iter"],
-                ["curves", "out", "--x", "n_grad"], ["validate", cfg],
+def _cli_runs(files: dict[str, str]) -> list[tuple[str, list[str]]]:
+    """The six CLI commands on the config among ``files`` and on the
+    ``output_dir`` it names, labelled by their arguments."""
+    cfg = next(name for name in files if name.endswith(".cfg"))
+    out = next(value.strip() for key, _, value in
+               (line.partition("=") for line in files[cfg].splitlines())
+               if key.strip() == "output_dir")
+    commands = [["run", cfg], ["summarize", out], ["curves", out, "--x", "iter"],
+                ["curves", out, "--x", "n_grad"], ["validate", cfg],
                 ["--seed", "7", "validate", cfg]]
     return [(" ".join(args), ["-m", "myhpo", *args]) for args in commands]
 
@@ -168,11 +175,19 @@ def _run(src: str, files: dict[str, str], runs: list[tuple[str, list[str]]],
     return captures
 
 
-def _group(src: str, files: dict[str, str], runs: list[tuple[str, list[str]]]) -> str:
-    """Digest every command's capture and every file the runs leave."""
+def _failures(name: str, captures) -> list[str]:
+    """One line for each command of group ``name`` that exited non-zero."""
+    return [f"{name}: command {label!r} exited {code}"
+            for label, code, _, _ in captures if code != 0]
+
+
+def _group(src: str, files: dict[str, str], runs: list[tuple[str, list[str]]]):
+    """Digest every command's capture and every file the runs leave; return
+    the digest and the captures."""
     with tempfile.TemporaryDirectory() as work:
+        captures = _run(src, files, runs, work)
         listing = []
-        for i, (label, code, out, err) in enumerate(_run(src, files, runs, work)):
+        for i, (label, code, out, err) in enumerate(captures):
             capture = b"%d\n%s\n%s" % (code, out, err)
             listing.append(f"{_digest(capture)}  command {i}: {label}")
         for base, _, names in os.walk(work):
@@ -180,7 +195,7 @@ def _group(src: str, files: dict[str, str], runs: list[tuple[str, list[str]]]) -
                 path = os.path.join(base, name)
                 with open(path, "rb") as fh:
                     listing.append(f"{_digest(fh.read())}  {os.path.relpath(path, work)}")
-    return _digest("\n".join(sorted(listing)).encode())
+    return _digest("\n".join(sorted(listing)).encode()), captures
 
 
 def _cli_groups() -> dict[str, dict[str, str]]:
@@ -226,11 +241,11 @@ def _relative(a: str, b: str) -> float:
 def _compare_group(name: str, parent: str, src: str, files: dict[str, str]) -> list[str]:
     """Run the group on both sides; print its per-column drift and return
     what differs where it must not."""
-    runs = _cli_runs(next(n for n in files if n.endswith(".cfg")))
+    runs = _cli_runs(files)
     with tempfile.TemporaryDirectory() as work_a, tempfile.TemporaryDirectory() as work_b:
         caps_a, caps_b = _run(parent, files, runs, work_a), _run(src, files, runs, work_b)
         traces_a, traces_b = _read_traces(work_a), _read_traces(work_b)
-    problems = []
+    problems = _failures(f"parent {name}", caps_a) + _failures(name, caps_b)
     for (label, code_a, _, err_a), (_, code_b, _, err_b) in zip(caps_a, caps_b):
         if (code_a, err_a) != (code_b, err_b):
             problems.append(f"{name}: command {label!r}: exit code or stderr differs")
@@ -276,13 +291,17 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     src = os.path.abspath(argv[0])
-    groups = {name: _group(src, files, _cli_runs(next(n for n in files if n.endswith(".cfg"))))
+    groups = {name: _group(src, files, _cli_runs(files))
               for name, files in _cli_groups().items()}
     groups["demos"] = _group(src, {}, _demo_runs(src))
-    lines = [f"{name} {digest}" for name, digest in groups.items()]
+    lines = [f"{name} {digest}" for name, (digest, _) in groups.items()]
     print("\n".join(lines))
     print(f"overall {_digest(chr(10).join(lines).encode())}")
-    return 0
+    failures = [line for name, (_, captures) in groups.items()
+                for line in _failures(name, captures)]
+    for line in failures:
+        print(f"FAILED {line}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
