@@ -28,13 +28,21 @@ the centered remainder, divided by ``lam``, into ``phi1``; any split
 satisfying ``lam * phi1 + phi0 == v`` preserves the consensus constraint
 and the mean split is the canonical choice.
 
-All functions here are pure: they never mutate their arguments and keep no
-internal state, so values are freely shareable across threads. The one
-cache lives on ``Dataset``: a split memoizes products of its own ``X`` and
-``y`` (``gram``, ``xty``, ``gram_norm`` and the spectrum of ``gram``) on
-first use, so its arrays must not be changed in place once a solver has
-read them. The spectrum turns every shifted solve ``(gram + c I) x = b``
-into two matrix-vector products, O(d^2) after one O(d^3) ``eigh``.
+The functions here never mutate their arguments and keep no internal
+state. The data-fit kernels ``_fit_loss`` and ``_fit_grad`` take the
+product ``z = X @ w`` instead of ``w``, so a caller that already holds a
+point's product does not take it again; each public function takes
+``data.X @ w`` once per call.
+
+Products are kept in two places. A split memoizes products of its own
+``X`` and ``y`` (``gram``, ``xty``, ``gram_norm`` and the spectrum of
+``gram``) on first use; the spectrum turns every shifted solve
+``(gram + c I) x = b`` into two matrix-vector products, O(d^2) after one
+O(d^3) ``eigh``. The simplified MY-HPO step (``moreau``) keeps ``X @ x``
+for each point it evaluates, keyed by the array's identity, and carries the
+accepted ``v`` and ``w`` products in its state. Neither notices an in-place
+change, so neither a split's arrays nor a solver state's iterates may be
+changed in place once a solver has read them.
 """
 
 from __future__ import annotations
@@ -230,22 +238,31 @@ def _expit(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _fit_loss(spec: LossSpec, w: np.ndarray, data: Dataset) -> float:
-    """Data-fit part of the loss, without the regularizer."""
+def _fit_loss(spec: LossSpec, z: np.ndarray, data: Dataset) -> float:
+    """Data-fit part of the loss at the product ``z = data.X @ w``, without the regularizer."""
     if spec.kind == LEAST_SQUARES:
-        r = data.X @ w - data.y
+        r = z - data.y
         return float(r @ r) / (2.0 * data.n)
-    # log(1 + exp(-z)) evaluated stably; large |z| occur at lam = -10.
-    z = data.y * (data.X @ w)
-    return float(np.logaddexp(0.0, -z).mean())
+    # log(1 + exp(-y z)) evaluated stably; large |z| occur at lam = -10.
+    return float(np.logaddexp(0.0, -(data.y * z)).mean())
 
 
-def _fit_grad(spec: LossSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
-    """Gradient of the data-fit part with respect to ``w``."""
+def _fit_grad(spec: LossSpec, z: np.ndarray, data: Dataset) -> np.ndarray:
+    """Gradient in ``w`` of the data-fit part, at the product ``z = data.X @ w``."""
     if spec.kind == LEAST_SQUARES:
-        return data.X.T @ (data.X @ w - data.y) / data.n
-    z = data.y * (data.X @ w)
-    return -(data.X.T @ (data.y * _expit(-z))) / data.n
+        return data.X.T @ (z - data.y) / data.n
+    return -(data.X.T @ (data.y * _expit(-(data.y * z)))) / data.n
+
+
+def _train_loss(spec: LossSpec, w: np.ndarray, z: np.ndarray, lam: float, data: Dataset) -> float:
+    """``train_loss`` at ``w`` from its product ``z = data.X @ w``, unchecked."""
+    return _fit_loss(spec, z, data) + _exp(lam) * float(w @ w)
+
+
+def _grad_w_train(spec: LossSpec, w: np.ndarray, z: np.ndarray, lam: float,
+                  data: Dataset) -> np.ndarray:
+    """``grad_w_train`` at ``w`` from its product ``z = data.X @ w``, unchecked."""
+    return _fit_grad(spec, z, data) + 2.0 * _exp(lam) * w
 
 
 def _fit_curvature(spec: LossSpec, w: np.ndarray, p: np.ndarray, data: Dataset) -> float:
@@ -261,14 +278,14 @@ def train_loss(spec: LossSpec, w: np.ndarray, lam: float, data: Dataset) -> floa
     """Regularized training objective ``L_T(w, lam)`` on the train split."""
     _require_role(data, ("train",))
     w = _check_w(w, data)
-    return _fit_loss(spec, w, data) + _exp(lam) * float(w @ w)
+    return _train_loss(spec, w, data.X @ w, lam, data)
 
 
 def val_loss(spec: LossSpec, w: np.ndarray, data: Dataset) -> float:
     """Unregularized objective ``L_V(w)`` on a validation or test split."""
     _require_role(data, ("validation", "test"))
     w = _check_w(w, data)
-    return _fit_loss(spec, w, data)
+    return _fit_loss(spec, data.X @ w, data)
 
 
 def _fit_loss_block(spec: LossSpec, W: np.ndarray, data: Dataset) -> np.ndarray:
@@ -311,14 +328,14 @@ def grad_w_train(spec: LossSpec, w: np.ndarray, lam: float, data: Dataset) -> np
     """Gradient of ``train_loss`` with respect to ``w``."""
     _require_role(data, ("train",))
     w = _check_w(w, data)
-    return _fit_grad(spec, w, data) + 2.0 * _exp(lam) * w
+    return _grad_w_train(spec, w, data.X @ w, lam, data)
 
 
 def grad_w_val(spec: LossSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     """Gradient of ``val_loss`` with respect to ``w``."""
     _require_role(data, ("validation", "test"))
     w = _check_w(w, data)
-    return _fit_grad(spec, w, data)
+    return _fit_grad(spec, data.X @ w, data)
 
 
 def grad_lambda_val(spec: LossSpec, br: BestResponse, lam: float, data: Dataset) -> float:

@@ -50,6 +50,15 @@ Variants
   ``max_halvings``; a block that never decreases is skipped for that
   iteration). Merit re-evaluations are loss evaluations and are tracked in
   ``loss_eval_count``, never in the gradient ledger.
+
+  Both take each point's ``X @ x`` once. The training gradient and the
+  merits at ``v`` and ``w`` reuse the products the previous step took at
+  the points it accepted, carried in the state, and the lam derivative and
+  the merit at ``lam`` share ``X_val @ G(lam)``. So a constant step makes
+  four passes over a data matrix (``X v``, ``X^T r`` and their validation
+  pair), and a backtracking step whose blocks all evaluate makes E, one per
+  merit evaluation; a run's first step adds two, for the initial ``v`` and
+  ``w``. ``loss_eval_count`` counts evaluations, not passes.
 - ``full``: exact block minimization. Least-squares subproblems are
   closed-form spectral solves, ``Q ((Q^T b) / (s + c))`` with the
   training Gram matrix's eigendecomposition ``(s, Q)``: O(d^2) each after
@@ -70,8 +79,14 @@ import numpy as np
 from .model import (
     LAMBDA0,
     LEAST_SQUARES,
+    _check_w,
     _exp,
     _fit_curvature,
+    _fit_grad,
+    _fit_loss,
+    _grad_w_train,
+    _require_role,
+    _train_loss,
     BestResponse,
     Dataset,
     LossSpec,
@@ -83,8 +98,6 @@ from .model import (
     report_block,
     require_finite,
     split_best_response,
-    train_loss,
-    val_loss,
 )
 from .trace import RunTrace, TraceRow, record_run
 
@@ -152,6 +165,9 @@ class MyhpoState:
     grad_count: int = 0
     loss_eval_count: int = 0
     last_backtrack: tuple | None = field(default=None, repr=False, compare=False)
+    # (point, train X @ point) pairs of the step that made this state, for
+    # its v and w; used only while they are still this state's arrays
+    _carried: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, d: int, lam0: float = LAMBDA0) -> "MyhpoState":
@@ -180,25 +196,30 @@ def residuals(state_new: MyhpoState, lambda_old: float, rho: float) -> Residuals
     return Residuals(r=r, s=s)
 
 
-def _advance(state, v_new, w_new, lam_new, br, rho, grads, outcomes=None):
-    """Close an iteration: the consensus dual update, then the residuals.
+def _advance(state, v_new, w_new, lam_new, br, rho, grads, outcomes=None, carried=()):
+    """Close an iteration: the residuals, then the consensus dual update
+    ``u += rho * r`` from the same gap ``r``.
 
     ``grads`` is the step's ledger cost and ``outcomes`` its backtracked
     block outcomes, whose merit evaluations join ``loss_eval_count``.
+    ``carried`` holds the training products the next step may reuse.
     """
     new = MyhpoState(
         v=v_new,
         w=w_new,
         lam=lam_new,
-        u=state.u + rho * (w_new - best_response(br, lam_new)),
+        u=state.u,
         br=br,
         iter=state.iter + 1,
         grad_count=state.grad_count + grads,
         loss_eval_count=state.loss_eval_count + sum(o.evals for o in outcomes or ()),
         last_backtrack=outcomes,
     )
+    res = residuals(new, state.lam, rho)
+    new.u = state.u + rho * res.r
+    new._carried = carried
     require_finite(new.iter, new.lam, new.v, new.w, new.u)
-    return new, residuals(new, state.lam, rho)
+    return new, res
 
 
 def _step_cost(cfg: MyhpoConfig) -> int:
@@ -215,17 +236,19 @@ def _augmented(f: float, u: np.ndarray, rho: float, slack: np.ndarray) -> float:
     return f + float(u @ slack) + 0.5 * rho * float(slack @ slack)
 
 
+def _augmented_slope(df: float, u: np.ndarray, rho: float, phi1: np.ndarray,
+                     slack: np.ndarray) -> float:
+    """Derivative in lam of ``_augmented`` at ``slack = w - G(lam)``, ``df`` that of f."""
+    return df - float(u @ phi1) - rho * float(phi1 @ slack)
+
+
 def _lam_direction(spec, br, lam, w_new, u, rho, val) -> float:
     """Derivative in lam of the augmented validation objective at ``lam``.
 
     Costs one d-dimensional validation gradient (inside grad_lambda_val).
     """
     slack = w_new - best_response(br, lam)
-    return (
-        grad_lambda_val(spec, br, lam, val)
-        - float(u @ br.phi1)
-        - rho * float(br.phi1 @ slack)
-    )
+    return _augmented_slope(grad_lambda_val(spec, br, lam, val), u, rho, br.phi1, slack)
 
 
 def _backtrack(x0, direction, step0: float, merit, max_halvings: int):
@@ -258,6 +281,28 @@ def _constant(x0, direction, step0: float, merit, max_halvings: int):
     return x0 - step0 * direction, None
 
 
+class _Products:
+    """``data.X @ x`` for each point a step evaluates, taken once per point.
+
+    Points are keyed by identity, starting from the ``carried`` (point,
+    product) pairs, so an equal but distinct array gets its own product.
+    Every lookup repeats the public model functions' role and shape checks.
+    """
+
+    def __init__(self, data: Dataset, roles: tuple[str, ...], carried=()):
+        self.data, self.roles = data, roles
+        self.known = {id(x): (x, z) for x, z in carried}
+
+    def __call__(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, data.X @ x)``, with ``x`` as the shape check returns it."""
+        _require_role(self.data, self.roles)
+        x = _check_w(x, self.data)
+        pair = self.known.get(id(x))
+        if pair is None:
+            pair = self.known[id(x)] = (x, self.data.X @ x)
+        return pair
+
+
 def _simplified_step(state, spec, train, val, cfg, line_search):
     """The four block updates, each stepping along its gradient by ``line_search``.
 
@@ -265,33 +310,41 @@ def _simplified_step(state, spec, train, val, cfg, line_search):
     loss, the w block the augmented training objective, the lam block the
     augmented validation objective. The w block reuses the step-1 training
     gradient unless ``cfg.fresh_w_gradient`` asks for a fresh one at ``w``.
+    Each point's ``X @ x`` is taken once (see Variants), bit for bit the
+    value the public model functions would compute.
     """
-    lam = state.lam
-    g_t = grad_w_train(spec, state.v, lam, train)
-    v_new, out_v = line_search(
-        state.v, g_t, cfg.alpha,
-        lambda x: train_loss(spec, x, lam, train),
-        cfg.max_halvings,
-    )
+    lam, u, rho = state.lam, state.u, cfg.rho
+    xt = _Products(train, ("train",), state._carried)
+    xv = _Products(val, ("validation",))
+
+    def loss_t(x):
+        return _train_loss(spec, *xt(x), lam, train)
+
+    g_t = _grad_w_train(spec, *xt(state.v), lam, train)
+    v_new, out_v = line_search(state.v, g_t, cfg.alpha, loss_t, cfg.max_halvings)
     br = split_best_response(v_new, lam)
     gw_old = best_response(br, lam)
 
-    g_for_w = grad_w_train(spec, state.w, lam, train) if cfg.fresh_w_gradient else g_t
+    g_for_w = _grad_w_train(spec, *xt(state.w), lam, train) if cfg.fresh_w_gradient else g_t
 
     def w_merit(x):
-        return _augmented(train_loss(spec, x, lam, train), state.u, cfg.rho, x - gw_old)
+        return _augmented(loss_t(x), u, rho, x - gw_old)
 
-    w_dir = g_for_w + state.u + cfg.rho * (state.w - gw_old)
+    w_dir = g_for_w + u + rho * (state.w - gw_old)
     w_new, out_w = line_search(state.w, w_dir, cfg.beta, w_merit, cfg.max_halvings)
 
-    def lam_merit(t):
-        gw = best_response(br, t)
-        return _augmented(val_loss(spec, gw, val), state.u, cfg.rho, w_new - gw)
+    def lam_merit(t):  # at lam itself, G(lam) is gw_old, whose product the derivative took
+        gw, z = xv(gw_old if t == lam else best_response(br, t))
+        return _augmented(_fit_loss(spec, z, val), u, rho, w_new - gw)
 
-    lam_dir = _lam_direction(spec, br, lam, w_new, state.u, cfg.rho, val)
+    gw, z = xv(gw_old)
+    lam_dir = _augmented_slope(float(br.phi1 @ _fit_grad(spec, z, val)), u, rho, br.phi1,
+                               w_new - gw)
     lam_new, out_l = line_search(lam, lam_dir, cfg.delta, lam_merit, cfg.max_halvings)
     outcomes = None if out_v is None else (out_v, out_w, out_l)
-    return _advance(state, v_new, w_new, float(lam_new), br, cfg.rho, _step_cost(cfg), outcomes)
+    carried = tuple(xt.known[id(x)] for x in (v_new, w_new) if id(x) in xt.known)
+    return _advance(state, v_new, w_new, float(lam_new), br, rho, _step_cost(cfg), outcomes,
+                    carried)
 
 
 def my_step_simplified(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from myhpo.model import (
     LossSpec,
     NonFiniteIterate,
     best_response,
+    grad_lambda_val,
     grad_w_train,
     grad_w_val,
     split_best_response,
@@ -30,7 +32,7 @@ from myhpo.moreau import (
     myhpo_run,
     residuals,
 )
-from conftest import random_regression, ridge_solution
+from conftest import random_classification, random_regression, ridge_solution
 
 
 def one_d_sets():
@@ -457,6 +459,179 @@ class TestFullStep:
         if case == "jump-rho1":
             assert np.nextafter(lo, math.inf) == hi
 
+
+def reference_step(state, spec, train, val, cfg, backtracking):
+    """One simplified step from the public model functions alone, each merit
+    and gradient computing its own products: ``(v, w, lam, u, outcomes)``, with
+    each block's outcome as ``(step, merit_before, merit_after, evals, stalled)``."""
+    v, w, lam, u, rho = state.v, state.w, state.lam, state.u, cfg.rho
+
+    def search(x0, direction, step0, merit):
+        if not backtracking:
+            return x0 - step0 * direction, None
+        if not np.any(direction):
+            return x0, (None, math.nan, math.nan, 0, False)
+        m0, t = merit(x0), step0
+        for k in range(cfg.max_halvings + 1):
+            cand = x0 - t * direction
+            mc = merit(cand)
+            if mc < m0:
+                return cand, (t, m0, mc, k + 2, False)
+            t *= 0.5
+        return x0, (None, m0, m0, cfg.max_halvings + 2, True)
+
+    def augmented(f, slack):
+        return f + float(u @ slack) + 0.5 * rho * float(slack @ slack)
+
+    g_t = grad_w_train(spec, v, lam, train)
+    v1, out_v = search(v, g_t, cfg.alpha, lambda x: train_loss(spec, x, lam, train))
+    br = split_best_response(v1, lam)
+    gw_old = best_response(br, lam)
+    g_w = grad_w_train(spec, w, lam, train) if cfg.fresh_w_gradient else g_t
+    w1, out_w = search(w, g_w + u + rho * (w - gw_old), cfg.beta,
+                       lambda x: augmented(train_loss(spec, x, lam, train), x - gw_old))
+    lam_dir = (grad_lambda_val(spec, br, lam, val) - float(u @ br.phi1)
+               - rho * float(br.phi1 @ (w1 - best_response(br, lam))))
+    lam1, out_l = search(lam, lam_dir, cfg.delta, lambda t: augmented(
+        val_loss(spec, best_response(br, t), val), w1 - best_response(br, t)))
+    u1 = u + rho * (w1 - best_response(br, lam1))
+    return v1, w1, float(lam1), u1, (out_v, out_w, out_l)
+
+
+def comparable(outcome):
+    """A block outcome as a tuple in which NaN equals NaN."""
+    return tuple("nan" if x != x else x for x in outcome)
+
+
+class CountingMatrix(np.ndarray):
+    """A feature matrix that counts its matrix products, ``X @ x`` and ``X.T @ r``."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.matmul(self.view(np.ndarray), other)
+
+
+def product_reuse_sets(kind):
+    """(spec, train, validation) of a 30 x 6 problem whose splits count their products."""
+    rng = np.random.default_rng(3)
+    make = random_regression if kind == "least_squares" else random_classification
+    train, val = make(rng, 30, 6), make(rng, 15, 6, role="validation")
+    for data in (train, val):
+        data.X = data.X.view(CountingMatrix)
+    return LossSpec(kind), train, val
+
+
+class TestProductReuse:
+    """The simplified step takes each point's ``X @ x`` once and carries the
+    accepted points' products to the next step, without moving a bit."""
+
+    CASES = {  # case -> MyhpoConfig arguments; halvings and stalls need backtracking
+        "least_squares": dict(delta=0.1),
+        "logistic": dict(delta=0.1),
+        "zero-direction": dict(delta=0.1),
+        "fresh-w-gradient": dict(delta=0.1, fresh_w_gradient=True),
+        "halving-least_squares": dict(alpha=2.0, beta=2.0, delta=20.0),
+        "halving-logistic": dict(alpha=2.0, beta=2.0, delta=20.0),
+        "stalled": dict(alpha=2.0, beta=2.0, delta=20.0, max_halvings=1),
+    }
+
+    @pytest.mark.parametrize("backtracking,case", [
+        *((True, case) for case in CASES),
+        *((False, case) for case in ("least_squares", "logistic", "zero-direction",
+                                     "fresh-w-gradient")),
+    ])
+    def test_matches_the_reference_step_bit_for_bit(self, case, backtracking):
+        """200 steps from the initial state, each compared with the reference
+        step taken from the reference's own previous iterate."""
+        spec, train, val = product_reuse_sets("logistic" if case.endswith("logistic")
+                                              else "least_squares")
+        cfg = MyhpoConfig(**self.CASES[case])
+        state = MyhpoState.initial(6)
+        if case == "zero-direction":
+            # zero training targets keep v at 0 and phi1 at 0: the v and lam
+            # directions vanish while w moves toward G(lam) = 0
+            train = Dataset(train.X, np.zeros(train.n), "train")
+            state = MyhpoState(v=np.zeros(6), w=np.linspace(-1.0, 1.0, 6), lam=-1.0,
+                               u=np.zeros(6))
+        step = my_step_backtracking if backtracking else my_step_simplified
+        ref, evals, kinds = state, 0, set()
+        for _ in range(200):
+            v, w, lam, u, outcomes = reference_step(ref, spec, train, val, cfg, backtracking)
+            state, _ = step(state, spec, train, val, cfg)
+            assert np.array_equal(state.v, v) and np.array_equal(state.w, w)
+            assert state.lam == lam and np.array_equal(state.u, u)
+            ref = MyhpoState(v=v, w=w, lam=lam, u=u)
+            if backtracking:
+                assert [comparable(dataclasses.astuple(o)) for o in state.last_backtrack] == [
+                    comparable(o) for o in outcomes]
+                evals += sum(o[3] for o in outcomes)
+                kinds |= {"stalled" if o[4] else "zero" if o[3] == 0 else
+                          "halved" if o[3] > 2 else "first-try" for o in outcomes}
+            assert state.loss_eval_count == evals
+        assert state.grad_count == 200 * (3 if cfg.fresh_w_gradient else 2)
+        expected = {"stalled": "stalled", "zero-direction": "zero",
+                    "halving-least_squares": "halved", "halving-logistic": "halved"}
+        if backtracking and case in expected:
+            assert expected[case] in kinds
+
+    @staticmethod
+    def counted_step(step, state, spec, train, val, cfg):
+        """``step``'s new state and the matrix products it made."""
+        CountingMatrix.products = 0
+        new, _ = step(state, spec, train, val, cfg)
+        return new, CountingMatrix.products
+
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    def test_backtracking_step_makes_one_product_per_merit_evaluation(self, kind):
+        """A step whose blocks all evaluate merits makes E products, E its merit
+        evaluations: the training gradient's ``X.T @ r``, one ``X @ x`` per
+        candidate and the lam derivative's two. The first step also takes the
+        products at the initial v and w."""
+        spec, train, val = product_reuse_sets(kind)
+        cfg = MyhpoConfig(rho=1.0, alpha=0.1, beta=0.5, delta=0.75)
+        state = MyhpoState.initial(6)
+        for k in range(30):
+            state, products = self.counted_step(my_step_backtracking, state, spec, train,
+                                                val, cfg)
+            evals = [o.evals for o in state.last_backtrack]
+            assert min(evals) > 0
+            assert products == sum(evals) + (2 if k == 0 else 0)
+
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    def test_constant_step_makes_four_products(self, kind):
+        spec, train, val = product_reuse_sets(kind)
+        cfg = MyhpoConfig(delta=0.1)
+        state = MyhpoState.initial(6)
+        for _ in range(10):
+            state, products = self.counted_step(my_step_simplified, state, spec, train,
+                                                val, cfg)
+            assert products == 4
+
+    def test_caller_built_state_recomputes_its_products(self):
+        """A state rebuilt from equal but distinct arrays carries no products:
+        it steps to the same state, paying for its v and w products again."""
+        spec, train, val = product_reuse_sets("logistic")
+        cfg = MyhpoConfig(rho=1.0, alpha=0.1, beta=0.5, delta=0.75)
+        state = MyhpoState.initial(6)
+        for _ in range(5):
+            state, _ = my_step_backtracking(state, spec, train, val, cfg)
+        rebuilt = MyhpoState(v=state.v.copy(), w=state.w.copy(), lam=state.lam,
+                             u=state.u.copy(), br=state.br, iter=state.iter,
+                             grad_count=state.grad_count,
+                             loss_eval_count=state.loss_eval_count)
+        carried, n_carried = self.counted_step(my_step_backtracking, state, spec, train,
+                                               val, cfg)
+        fresh, n_fresh = self.counted_step(my_step_backtracking, rebuilt, spec, train, val,
+                                           cfg)
+        for name in ("v", "w", "u"):
+            assert np.array_equal(getattr(fresh, name), getattr(carried, name))
+        assert fresh.lam == carried.lam
+        assert (fresh.iter, fresh.grad_count, fresh.loss_eval_count) == (
+            carried.iter, carried.grad_count, carried.loss_eval_count)
+        assert fresh.last_backtrack == carried.last_backtrack
+        assert n_fresh == n_carried + 2
 
 class TestFixedPoint:
     def test_every_variant_maps_stationary_point_to_itself(self, ls_spec):
