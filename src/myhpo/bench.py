@@ -13,12 +13,12 @@ Schema (defaults in parentheses):
     problem.kind            synthetic | csv | idx            (required)
     problem.loss            least_squares (default) | logistic
     problem.n, problem.d    synthetic: table size            (required)
-    problem.kappa           synthetic condition number       (10000.0)
-    problem.noise_std       synthetic target noise           (0.1)
+    problem.kappa           synthetic: condition number      (10000.0)
+    problem.noise_std       synthetic: target noise          (0.1)
     problem.path            csv: file path                   (required)
     problem.target          csv: target column name          (required)
     problem.images/labels   idx: file paths                  (required)
-    problem.class_a/class_b map two raw labels to +1/-1      (optional; csv/idx)
+    problem.class_a/class_b csv/idx: map two labels to +1/-1 (optional)
     problem.train_fraction  (0.5)    problem.val_fraction    (0.25)
     problem.counts          "n_train,n_val,n_test", overrides fractions
     problem.stratified      true | false                     (false)
@@ -31,6 +31,10 @@ Schema (defaults in parentheses):
     solver[i].<param>       a field of the solver's config class, with its
                             default (see SOLVERS below); bi-level solvers
                             also take lambda0 (-1.0)
+
+A problem key marked with kinds (``synthetic:``, ``csv:``, ``idx:``,
+``csv/idx:``) is an error for any other kind; ``_PROBLEM_KEYS`` declares
+each key's type, default and kinds.
 
 Bi-level solvers stop before exceeding the budget; their ``max_iters``
 defaults to ``budget_n_g // 2``. Search blocks train each of their ``n_s``
@@ -99,11 +103,22 @@ SOLVERS = {"sho": ShoConfig, **{name: MyhpoConfig for name in VARIANT_SOLVERS.va
 SOLVER_NAMES = tuple(SOLVERS)
 _VARIANT_OF = {name: variant for variant, name in VARIANT_SOLVERS.items()}
 
-_PROBLEM_DEFAULTS = {
-    "loss": LEAST_SQUARES,
-    **{f.name: f.default for f in fields(SyntheticSpec) if f.name in ("kappa", "noise_std")},
-    **{f.name: f.default for f in fields(SplitSpec)
-       if f.name in ("train_fraction", "val_fraction", "stratified")},
+_KINDS = ("synthetic", "csv", "idx")
+_REQUIRED = object()  # the default of a key that its kinds must set
+
+# problem key -> (type, default, the kinds that take it); a None default
+# leaves the key unset, and a key set for any other kind is an error
+_PROBLEM_KEYS = {
+    "kind": (str, _REQUIRED, _KINDS), "loss": (str, LEAST_SQUARES, _KINDS),
+    "n": (int, _REQUIRED, ("synthetic",)), "d": (int, _REQUIRED, ("synthetic",)),
+    "kappa": (float, SyntheticSpec.kappa, ("synthetic",)),
+    "noise_std": (float, SyntheticSpec.noise_std, ("synthetic",)),
+    "path": (str, _REQUIRED, ("csv",)), "target": (str, _REQUIRED, ("csv",)),
+    "images": (str, _REQUIRED, ("idx",)), "labels": (str, _REQUIRED, ("idx",)),
+    "class_a": (float, None, ("csv", "idx")), "class_b": (float, None, ("csv", "idx")),
+    "train_fraction": (float, SplitSpec.train_fraction, _KINDS),
+    "val_fraction": (float, SplitSpec.val_fraction, _KINDS),
+    "counts": (str, None, _KINDS), "stratified": (bool, SplitSpec.stratified, _KINDS),
 }
 
 
@@ -181,14 +196,6 @@ def _coerce(key: str, value: str, kind):
     return coerced
 
 
-_PROBLEM_TYPES = {
-    "kind": str, "loss": str, "n": int, "d": int, "kappa": float,
-    "noise_std": float, "path": str, "target": str, "images": str,
-    "labels": str, "class_a": float, "class_b": float,
-    "train_fraction": float, "val_fraction": float, "counts": str,
-    "stratified": bool,
-}
-
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and resolve a config from its text; see the module docstring."""
     flat = _parse_flat(text)
@@ -199,9 +206,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for key, value in flat.items():
         if key.startswith("problem."):
             sub = key[len("problem."):]
-            if sub not in _PROBLEM_TYPES:
+            if sub not in _PROBLEM_KEYS:
                 raise SchemaError(key, "unknown problem key")
-            problem[sub] = _coerce(key, value, _PROBLEM_TYPES[sub])
+            problem[sub] = _coerce(key, value, _PROBLEM_KEYS[sub][0])
         elif key.startswith("solver["):
             head, _, sub = key.partition("].")
             idx_text = head[len("solver["):]
@@ -243,22 +250,22 @@ def _resolve_problem(problem: dict) -> dict:
     if "kind" not in problem:
         raise SchemaError("problem.kind", "required")
     kind = problem["kind"]
-    if kind not in ("synthetic", "csv", "idx"):
+    if kind not in _KINDS:
         raise SchemaError("problem.kind", f"unknown kind {kind!r}")
-    out = dict(_PROBLEM_DEFAULTS)
+    for key in problem:
+        if kind not in _PROBLEM_KEYS[key][2]:
+            raise SchemaError(f"problem.{key}", f"does not apply to kind {kind}")
+    out = {key: default for key, (_, default, kinds) in _PROBLEM_KEYS.items()
+           if kind in kinds and default is not None}
     out.update(problem)
     if out["loss"] not in (LEAST_SQUARES, LOGISTIC):
         raise SchemaError("problem.loss", f"unknown loss {out['loss']!r}")
-    required = {"synthetic": ("n", "d"), "csv": ("path", "target"),
-                "idx": ("images", "labels")}[kind]
-    for key in required:
-        if key not in out:
+    for key, value in out.items():
+        if value is _REQUIRED:
             raise SchemaError(f"problem.{key}", f"required for kind {kind}")
     has_classes = "class_a" in out or "class_b" in out
     if has_classes and not ("class_a" in out and "class_b" in out):
         raise SchemaError("problem.class_a", "class_a and class_b must be given together")
-    if kind == "synthetic" and has_classes:
-        raise SchemaError("problem.class_a", "class mapping does not apply to synthetic data")
     if kind == "synthetic" and out["loss"] == LOGISTIC:
         raise SchemaError("problem.loss", "the synthetic generator produces regression targets")
     if out["loss"] == LOGISTIC and kind != "synthetic" and not has_classes:
@@ -269,12 +276,6 @@ def _resolve_problem(problem: dict) -> dict:
             raise SchemaError("problem.counts", "expected three comma-separated counts")
         # echoed as it is written, so the echo parses back
         out["counts"] = ",".join(str(_coerce("problem.counts", p.strip(), int)) for p in parts)
-    # drop keys that do not apply to this kind so the echo stays honest
-    scoped = {"synthetic": ("n", "d", "kappa", "noise_std"),
-              "csv": ("path", "target", "class_a", "class_b"),
-              "idx": ("images", "labels", "class_a", "class_b")}[kind]
-    common = ("kind", "loss", "train_fraction", "val_fraction", "counts", "stratified")
-    out = {k: v for k, v in out.items() if k in scoped + common}
     try:  # the specs' own checks; counts meet the table size only at run time
         if kind == "synthetic":
             _synthetic_spec(out, seed=0)

@@ -29,20 +29,20 @@ satisfying ``lam * phi1 + phi0 == v`` preserves the consensus constraint
 and the mean split is the canonical choice.
 
 The functions here never mutate their arguments and keep no internal
-state. The data-fit kernels ``_fit_loss`` and ``_fit_grad`` take the
-product ``z = X @ w`` instead of ``w``, so a caller that already holds a
-point's product does not take it again; each public function takes
-``data.X @ w`` once per call.
+state. The data-fit kernels ``_fit_loss``, ``_fit_grad`` and
+``_fit_curvature`` take the product ``z = X @ w`` instead of ``w``, so a
+caller that already holds a point's product does not take it again; each
+public function takes ``data.X @ w`` once per call.
 
 Products are kept in two places. A split memoizes products of its own
 ``X`` and ``y`` (``gram``, ``xty``, ``gram_norm`` and the spectrum of
 ``gram``) on first use; the spectrum turns every shifted solve
 ``(gram + c I) x = b`` into two matrix-vector products, O(d^2) after one
-O(d^3) ``eigh``. The simplified MY-HPO step (``moreau``) keeps ``X @ x``
-for each point it evaluates, keyed by the array's identity, and carries the
-accepted ``v`` and ``w`` products in its state. Neither notices an in-place
-change, so neither a split's arrays nor a solver state's iterates may be
-changed in place once a solver has read them.
+O(d^3) ``eigh``. The MY-HPO steps (``moreau``) keep ``X @ x`` for each
+point they evaluate, keyed by the array's identity, and the simplified
+step carries the accepted ``v`` and ``w`` products in its state. Neither
+notices an in-place change, so neither a split's arrays nor a solver
+state's iterates may be changed in place once a solver has read them.
 """
 
 from __future__ import annotations
@@ -265,12 +265,12 @@ def _grad_w_train(spec: LossSpec, w: np.ndarray, z: np.ndarray, lam: float,
     return _fit_grad(spec, z, data) + 2.0 * _exp(lam) * w
 
 
-def _fit_curvature(spec: LossSpec, w: np.ndarray, p: np.ndarray, data: Dataset) -> float:
-    """Second derivative of the data-fit part at ``w`` along the direction ``p``."""
-    xp = data.X @ p
+def _fit_curvature(spec: LossSpec, z: np.ndarray, xp: np.ndarray, data: Dataset) -> float:
+    """Second derivative of the data-fit part at ``w`` along a direction ``p``,
+    from the products ``z = data.X @ w`` and ``xp = data.X @ p``."""
     if spec.kind == LEAST_SQUARES:
         return float(xp @ xp) / data.n
-    sig = _expit(data.y * (data.X @ w))
+    sig = _expit(data.y * z)
     return float((sig * (1.0 - sig)) @ (xp * xp)) / data.n
 
 

@@ -67,6 +67,10 @@ Variants
   steps once Newton fails) in a bisected sign bracket. The gradient ledger
   counts every d-dimensional derivative evaluation (gradients and Newton
   curvature forms); spectral solves evaluate no gradients and add nothing.
+  The lam solve makes two passes over the validation matrix per derivative
+  (``X_val @ G(lam)`` and ``X_val^T r``), and one more, ``X_val @ phi1``,
+  once Newton evaluates a curvature: each curvature reuses its
+  derivative's ``X_val @ G(lam)``.
 """
 
 from __future__ import annotations
@@ -92,7 +96,6 @@ from .model import (
     LossSpec,
     SplitDegenerate,
     best_response,
-    grad_lambda_val,
     grad_w_train,
     grad_w_val,
     report_block,
@@ -126,7 +129,7 @@ class MyhpoConfig:
     max_halvings: int = 30
     inner_tol: float = 1e-8
     inner_max_iters: int = 500
-    fresh_w_gradient: bool = False  # ablation: re-evaluate the training gradient at w
+    fresh_w_gradient: bool = False  # myhpo_c/myhpo_bt ablation: fresh training gradient at w
 
     def __post_init__(self):
         if self.rho < 0:
@@ -236,19 +239,11 @@ def _augmented(f: float, u: np.ndarray, rho: float, slack: np.ndarray) -> float:
     return f + float(u @ slack) + 0.5 * rho * float(slack @ slack)
 
 
-def _augmented_slope(df: float, u: np.ndarray, rho: float, phi1: np.ndarray,
-                     slack: np.ndarray) -> float:
-    """Derivative in lam of ``_augmented`` at ``slack = w - G(lam)``, ``df`` that of f."""
-    return df - float(u @ phi1) - rho * float(phi1 @ slack)
-
-
-def _lam_direction(spec, br, lam, w_new, u, rho, val) -> float:
-    """Derivative in lam of the augmented validation objective at ``lam``.
-
-    Costs one d-dimensional validation gradient (inside grad_lambda_val).
-    """
-    slack = w_new - best_response(br, lam)
-    return _augmented_slope(grad_lambda_val(spec, br, lam, val), u, rho, br.phi1, slack)
+def _lam_direction(spec, br, lam, w_new, u, rho, val, gw, z) -> float:
+    """Derivative in lam of the augmented validation objective at ``lam``, from
+    ``gw = G(lam)`` and ``z = val.X @ gw``: one d-dimensional validation gradient."""
+    df = float(br.phi1 @ _fit_grad(spec, z, val))
+    return df - float(u @ br.phi1) - rho * float(br.phi1 @ (w_new - gw))
 
 
 def _backtrack(x0, direction, step0: float, merit, max_halvings: int):
@@ -337,9 +332,7 @@ def _simplified_step(state, spec, train, val, cfg, line_search):
         gw, z = xv(gw_old if t == lam else best_response(br, t))
         return _augmented(_fit_loss(spec, z, val), u, rho, w_new - gw)
 
-    gw, z = xv(gw_old)
-    lam_dir = _augmented_slope(float(br.phi1 @ _fit_grad(spec, z, val)), u, rho, br.phi1,
-                               w_new - gw)
+    lam_dir = _lam_direction(spec, br, lam, w_new, u, rho, val, *xv(gw_old))
     lam_new, out_l = line_search(lam, lam_dir, cfg.delta, lam_merit, cfg.max_halvings)
     outcomes = None if out_v is None else (out_v, out_w, out_l)
     carried = tuple(xt.known[id(x)] for x in (v_new, w_new) if id(x) in xt.known)
@@ -434,13 +427,15 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
     derivatives, or once the next lam would be an end of the bracket (lam
     itself or an evaluated point), so no point is evaluated twice.
     """
+    xv = _Products(val, ("validation",))
     lam = float(lam0)
     lo, hi = -math.inf, math.inf
     newton = True
     for _ in range(50):
         if ledger.exhausted:
             return lam
-        g = _lam_direction(spec, br, lam, w_new, u, rho, val)
+        gw, z = xv(best_response(br, lam))
+        g = _lam_direction(spec, br, lam, w_new, u, rho, val, gw, z)
         ledger.spend(1)
         if abs(g) <= cfg.inner_tol:
             return lam
@@ -449,7 +444,7 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
             if ledger.exhausted:
                 return lam
             # second derivative in lam of the augmented validation objective
-            curv = (_fit_curvature(spec, best_response(br, lam), br.phi1, val)
+            curv = (_fit_curvature(spec, z, xv(br.phi1)[1], val)
                     + rho * float(br.phi1 @ br.phi1))
             ledger.spend(1)
             cand = lam - g / curv if curv > 1e-300 else math.nan

@@ -61,6 +61,15 @@ solver[0].name = sho
 """
 
 
+IDX = """
+problem.kind = idx
+problem.images = images.idx
+problem.labels = labels.idx
+budget_n_g = 100
+solver[0].name = sho
+"""
+
+
 class TestParseConfig:
     def test_minimal_config_fills_documented_defaults(self):
         cfg = parse_config_text(MINIMAL)
@@ -142,10 +151,15 @@ class TestParseConfig:
         (MINIMAL + "problem.counts = 10,5\n", "problem.counts"),
         (MINIMAL.replace("solver[0].name = myhpo_bt\n", ""), "solver[0].name"),
         (MINIMAL + "solver[1].label = second\n", "solver[1].name"),
+        (MINIMAL + "problem.path = data.csv\n", "problem.path"),
+        (CSV + "problem.kappa = 10\n", "problem.kappa"),
+        (IDX + "problem.n = 30\n", "problem.n"),
+        (MINIMAL + "problem.class_a = 1\nproblem.class_b = 2\n", "problem.class_a"),
     ], ids=["no-equals", "duplicate-key", "bad-bool", "solver-key-shape", "unknown-key",
             "budget-required", "repetitions-zero", "kind-required", "unknown-kind",
             "unknown-loss", "class-pair-half", "logistic-without-classes", "counts-arity",
-            "no-solver", "solver-name-required"])
+            "no-solver", "solver-name-required", "synthetic-path", "csv-kappa", "idx-n",
+            "synthetic-classes"])
     def test_config_errors_name_their_key(self, text, key):
         with pytest.raises(SchemaError) as err:
             parse_config_text(text)

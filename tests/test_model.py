@@ -186,7 +186,7 @@ class TestGradients:
             w, p = rng.standard_normal(4), rng.standard_normal(4)
             fd = fd_scalar(lambda t: float(p @ grad_w_train(spec, w + t * p, 0.0, data)), 0.0)
             # the regularizer adds 2 exp(0) ||p||^2 to the data-fit curvature
-            curv = _fit_curvature(spec, w, p, data) + 2.0 * float(p @ p)
+            curv = _fit_curvature(spec, data.X @ w, data.X @ p, data) + 2.0 * float(p @ p)
             assert abs(curv - fd) <= 1e-6 * abs(fd)
 
     def test_grad_w_train_hand_value(self, ls_spec):

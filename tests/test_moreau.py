@@ -633,6 +633,28 @@ class TestProductReuse:
         assert fresh.last_backtrack == carried.last_backtrack
         assert n_fresh == n_carried + 2
 
+    @pytest.mark.parametrize("kind,per_step", [("least_squares", 5), ("logistic", 7)])
+    def test_full_lam_solve_reuses_its_validation_products(self, kind, per_step, monkeypatch):
+        """The full variant's lam solve makes two validation passes per
+        derivative, ``X_val @ G(lam)`` and ``X_val.T @ r``, plus ``X_val @ phi1``
+        once: each Newton curvature reuses its derivative's ``X_val @ G(lam)``."""
+        spec, train, val = product_reuse_sets(kind)
+        train.X = train.X.view(np.ndarray)  # count the validation split only
+        calls = dict.fromkeys(("_lam_direction", "_fit_curvature"), 0)
+        for name in calls:
+            def counted(*args, fn=getattr(moreau, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(moreau, name, counted)
+        state = MyhpoState.initial(6)
+        for _ in range(5):
+            calls.update(dict.fromkeys(calls, 0))
+            state, products = self.counted_step(my_step_full, state, spec, train, val,
+                                                MyhpoConfig(variant="full"))
+            assert calls["_fit_curvature"] > 0
+            assert products == 2 * calls["_lam_direction"] + 1 == per_step
+
+
 class TestFixedPoint:
     def test_every_variant_maps_stationary_point_to_itself(self, ls_spec):
         train, val = zero_target_instance()
@@ -657,6 +679,11 @@ class TestFixedPoint:
 
 
 class TestRun:
+    def test_budget_must_cover_one_step(self, ls_spec):
+        train, val = one_d_sets()
+        with pytest.raises(ValueError, match="budget must be at least 2"):
+            myhpo_run(MyhpoState.initial(1), ls_spec, train, val, MyhpoConfig(), budget=1)
+
     def test_huge_eps_tol_stops_after_one_iteration(self, ls_spec):
         train, val = one_d_sets()
         cfg = MyhpoConfig(eps_tol=1e30, max_iters=100)

@@ -84,8 +84,9 @@ solver[7].label = degenerate
 solver[7].lambda0 = 0
 """
 
-# the full variant plain, with a fresh w gradient and decoupled (rho = 0),
-# diverging runs, diverging search candidates and a halving myhpo_bt
+# the full variant plain and decoupled (rho = 0), a fresh w gradient on both
+# simplified variants, diverging runs, diverging search candidates and a
+# halving myhpo_bt
 LEAST_SQUARES = """\
 problem.kind = synthetic
 problem.n = 40
@@ -96,8 +97,8 @@ repetitions = 2
 seed = 5
 output_dir = out
 solver[0].name = myhpo_full
-solver[1].name = myhpo_full
-solver[1].label = full-fresh
+solver[1].name = myhpo_bt
+solver[1].label = bt-fresh
 solver[1].fresh_w_gradient = true
 solver[2].name = myhpo_full
 solver[2].label = full-rho0
