@@ -21,20 +21,22 @@ Schema (defaults in parentheses):
     problem.class_a/class_b csv/idx: map two labels to +1/-1 (optional)
     problem.train_fraction  (0.5)    problem.val_fraction    (0.25)
     problem.counts          "n_train,n_val,n_test", overrides fractions
-    problem.stratified      true | false                     (false)
+    problem.stratified      true | false; synthetic: false   (false)
     budget_n_g              shared gradient budget           (required, >= 2)
     repetitions             (1)
     seed                    base seed; run r uses seed + r   (0; >= 0)
     output_dir              (bench_out)
     solver[i].name          sho | myhpo_c | myhpo_bt | myhpo_full | random | grid
-    solver[i].label         column label                     (name)
+    solver[i].label         column label; unique file name   (name)
     solver[i].<param>       a field of the solver's config class, with its
                             default (see SOLVERS below); bi-level solvers
                             also take lambda0 (-1.0)
 
 A problem key marked with kinds (``synthetic:``, ``csv:``, ``idx:``,
 ``csv/idx:``) is an error for any other kind; ``_PROBLEM_KEYS`` declares
-each key's type, default and kinds.
+each key's type, default and kinds. A value that nothing reads may only
+restate the default the echo lists: a fraction beside ``problem.counts``,
+or a field that ``moreau.UNREAD_FIELDS`` lists for the block's solver.
 
 Bi-level solvers stop before exceeding the budget; their ``max_iters``
 defaults to ``budget_n_g // 2``. Search blocks train each of their ``n_s``
@@ -72,7 +74,7 @@ from .data import (
     synthesize,
 )
 from .model import LAMBDA0, LEAST_SQUARES, LOGISTIC, LossSpec
-from .moreau import VARIANT_SOLVERS, MyhpoConfig, MyhpoState, myhpo_run
+from .moreau import UNREAD_FIELDS, VARIANT_SOLVERS, MyhpoConfig, MyhpoState, myhpo_run
 from .rng import PRNG_ID
 from .search import (
     SearchConfig,
@@ -90,10 +92,6 @@ class SchemaError(ValueError):
     def __init__(self, key: str, reason: str):
         self.key = key
         super().__init__(f"{key}: {reason}")
-
-
-class UnknownSolver(ValueError):
-    """A solver block names an unregistered solver."""
 
 
 # solver name -> config class; a block's parameters, their types and their
@@ -268,6 +266,8 @@ def _resolve_problem(problem: dict) -> dict:
         raise SchemaError("problem.class_a", "class_a and class_b must be given together")
     if kind == "synthetic" and out["loss"] == LOGISTIC:
         raise SchemaError("problem.loss", "the synthetic generator produces regression targets")
+    if kind == "synthetic" and out["stratified"]:
+        raise SchemaError("problem.stratified", "needs -1/+1 labels; synthetic targets are real")
     if out["loss"] == LOGISTIC and kind != "synthetic" and not has_classes:
         raise SchemaError("problem.class_a", "logistic problems need a class pair")
     if "counts" in out:
@@ -276,6 +276,10 @@ def _resolve_problem(problem: dict) -> dict:
             raise SchemaError("problem.counts", "expected three comma-separated counts")
         # echoed as it is written, so the echo parses back
         out["counts"] = ",".join(str(_coerce("problem.counts", p.strip(), int)) for p in parts)
+        for key in ("train_fraction", "val_fraction"):
+            if out[key] != _PROBLEM_KEYS[key][1]:
+                raise SchemaError(f"problem.{key}", "problem.counts overrides it; only its "
+                                  f"default {_PROBLEM_KEYS[key][1]!r} is accepted")
     try:  # the specs' own checks; counts meet the table size only at run time
         if kind == "synthetic":
             _synthetic_spec(out, seed=0)
@@ -292,18 +296,20 @@ def _resolve_solvers(solver_raw: dict[int, dict], budget: int) -> list[SolverBlo
     if indices != list(range(len(indices))):
         raise SchemaError(f"solver[{indices[-1]}]", "solver indices must be contiguous from 0")
     blocks = []
-    labels = set()
+    stems: dict[str, str] = {}  # trace file name stem -> the label that has it
     for i in indices:
         raw = solver_raw[i]
         if "name" not in raw:
             raise SchemaError(f"solver[{i}].name", "required")
         name = raw.pop("name")
         if name not in SOLVER_NAMES:
-            raise UnknownSolver(f"solver[{i}].name: {name!r} is not one of {SOLVER_NAMES}")
+            raise SchemaError(f"solver[{i}].name", f"{name!r} is not one of {SOLVER_NAMES}")
         label = raw.pop("label", name)
-        if label in labels:
-            raise SchemaError(f"solver[{i}].label", f"duplicate label {label!r}")
-        labels.add(label)
+        stem = _safe_name(label)
+        if stem in stems:
+            raise SchemaError(f"solver[{i}].label", f"{label!r} names the same trace files "
+                              f"as label {stems[stem]!r}")
+        stems[stem] = label
         cls = SOLVERS[name]
         params = {f.name: f.default for f in fields(cls)
                   if f.name not in ("seed", "variant")}
@@ -315,7 +321,11 @@ def _resolve_solvers(solver_raw: dict[int, dict], budget: int) -> list[SolverBlo
         for key, value in raw.items():
             if key not in params:
                 raise SchemaError(f"solver[{i}].{key}", f"not a parameter of {name}")
-            params[key] = _coerce(f"solver[{i}].{key}", value, type(params[key]))
+            coerced = _coerce(f"solver[{i}].{key}", value, type(params[key]))
+            if key in UNREAD_FIELDS.get(name, ()) and coerced != params[key]:
+                raise SchemaError(f"solver[{i}].{key}", f"{name} never reads it; only its "
+                                  f"default {params[key]!r} is accepted")
+            params[key] = coerced
         try:
             _block_config(name, params, seed=0)
         except ValueError as exc:

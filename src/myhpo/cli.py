@@ -111,7 +111,7 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:  # before any subcommand reads it
             raise bench.SchemaError("--seed", f"must be nonnegative, got {args.seed}")
         return args.func(args)
-    except (bench.SchemaError, bench.UnknownSolver, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -129,7 +129,7 @@ class MyhpoConfig:
     max_halvings: int = 30
     inner_tol: float = 1e-8
     inner_max_iters: int = 500
-    fresh_w_gradient: bool = False  # myhpo_c/myhpo_bt ablation: fresh training gradient at w
+    fresh_w_gradient: bool = False  # simplified variants: fresh training gradient at w
 
     def __post_init__(self):
         if self.rho < 0:
@@ -144,6 +144,14 @@ class MyhpoConfig:
             raise ValueError("eps_tol must be positive")
         if self.max_halvings < 1:
             raise ValueError("max_halvings must be at least 1")
+
+
+# solver name -> the MyhpoConfig fields its step never reads (a config may only restate them)
+UNREAD_FIELDS = {
+    "myhpo_c": ("max_halvings", "inner_tol", "inner_max_iters"),
+    "myhpo_bt": ("inner_tol", "inner_max_iters"),
+    "myhpo_full": ("alpha", "beta", "max_halvings", "fresh_w_gradient"),
+}
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import tempfile
@@ -12,7 +13,6 @@ from myhpo import bench
 from myhpo.bench import (
     SchemaError,
     SummaryTable,
-    UnknownSolver,
     parse_config_text,
     read_traces,
     render_curves,
@@ -22,6 +22,7 @@ from myhpo.bench import (
     summarize_traces,
 )
 from myhpo.data import ZeroVariance
+from myhpo.moreau import MyhpoConfig
 from myhpo.trace import TRACE_COLUMNS, RunTrace, TraceRow
 
 MINIMAL = """
@@ -69,6 +70,16 @@ budget_n_g = 100
 solver[0].name = sho
 """
 
+# (solver, key, a value other than the default) for each field the solver never reads
+UNREAD_VALUES = [
+    ("myhpo_c", "max_halvings", "5"), ("myhpo_c", "inner_tol", "1e-3"),
+    ("myhpo_c", "inner_max_iters", "3"), ("myhpo_bt", "inner_tol", "1e-3"),
+    ("myhpo_bt", "inner_max_iters", "3"), ("myhpo_full", "alpha", "0.7"),
+    ("myhpo_full", "beta", "0.7"), ("myhpo_full", "max_halvings", "5"),
+    ("myhpo_full", "fresh_w_gradient", "true"),
+]
+COUNTS = MINIMAL + "problem.counts = 12,6,6\n"
+
 
 class TestParseConfig:
     def test_minimal_config_fills_documented_defaults(self):
@@ -96,8 +107,9 @@ class TestParseConfig:
         assert "budget_n_g" in str(err.value)
 
     def test_unknown_solver(self):
-        with pytest.raises(UnknownSolver):
+        with pytest.raises(SchemaError) as err:
             parse_config_text(MINIMAL.replace("myhpo_bt", "adam"))
+        assert err.value.key == "solver[0].name"
 
     def test_unknown_key_named(self):
         with pytest.raises(SchemaError) as err:
@@ -113,6 +125,14 @@ class TestParseConfig:
         text = MINIMAL + "solver[1].name = myhpo_bt\n"
         with pytest.raises(SchemaError):
             parse_config_text(text)
+
+    def test_labels_sharing_a_trace_file_rejected(self):
+        text = (MINIMAL + "solver[0].label = my run\nsolver[1].name = sho\n"
+                "solver[1].label = my-run\n")
+        with pytest.raises(SchemaError) as err:
+            parse_config_text(text)
+        assert err.value.key == "solver[1].label"
+        assert "'my run'" in str(err.value) and "'my-run'" in str(err.value)
 
     def test_missing_problem_requirements(self):
         with pytest.raises(SchemaError):
@@ -155,15 +175,32 @@ class TestParseConfig:
         (CSV + "problem.kappa = 10\n", "problem.kappa"),
         (IDX + "problem.n = 30\n", "problem.n"),
         (MINIMAL + "problem.class_a = 1\nproblem.class_b = 2\n", "problem.class_a"),
-    ], ids=["no-equals", "duplicate-key", "bad-bool", "solver-key-shape", "unknown-key",
-            "budget-required", "repetitions-zero", "kind-required", "unknown-kind",
-            "unknown-loss", "class-pair-half", "logistic-without-classes", "counts-arity",
-            "no-solver", "solver-name-required", "synthetic-path", "csv-kappa", "idx-n",
-            "synthetic-classes"])
+        (MINIMAL + "problem.stratified = true\n", "problem.stratified"),
+        (COUNTS + "problem.train_fraction = 0.4\n", "problem.train_fraction"),
+        (COUNTS + "problem.val_fraction = 0.3\n", "problem.val_fraction"),
+    ] + [(MINIMAL.replace("myhpo_bt", name) + f"solver[0].{key} = {value}\n", f"solver[0].{key}")
+         for name, key, value in UNREAD_VALUES],
+        ids=["no-equals", "duplicate-key", "bad-bool", "solver-key-shape", "unknown-key",
+             "budget-required", "repetitions-zero", "kind-required", "unknown-kind",
+             "unknown-loss", "class-pair-half", "logistic-without-classes", "counts-arity",
+             "no-solver", "solver-name-required", "synthetic-path", "csv-kappa", "idx-n",
+             "synthetic-classes", "synthetic-stratified", "counts-train-fraction",
+             "counts-val-fraction"] + [f"{name}-{key}" for name, key, _ in UNREAD_VALUES])
     def test_config_errors_name_their_key(self, text, key):
         with pytest.raises(SchemaError) as err:
             parse_config_text(text)
         assert err.value.key == key
+
+    def test_restated_defaults_are_accepted(self):
+        """What a block never reads may restate its default; the hash stays put."""
+        blocks = "".join(f"solver[{i}].name = {name}\nsolver[{i}].label = {name}-{key}\n"
+                         for i, (name, key, _) in enumerate(UNREAD_VALUES))
+        plain = COUNTS.replace("solver[0].name = myhpo_bt\n", blocks)
+        restated = plain + "problem.train_fraction = 0.5\nproblem.val_fraction = 0.25\n"
+        defaults = {f.name: f.default for f in dataclasses.fields(MyhpoConfig)}
+        restated += "".join(f"solver[{i}].{key} = {defaults[key]}\n"
+                            for i, (_, key, _) in enumerate(UNREAD_VALUES))
+        assert parse_config_text(restated).config_hash == parse_config_text(plain).config_hash
 
     def test_noncontiguous_solver_indices(self):
         with pytest.raises(SchemaError):
@@ -189,7 +226,7 @@ class TestParseConfig:
         assert cfg.config_hash == parse_config_text(MINIMAL + "seed = 7\n").config_hash
 
     def test_solver_params_are_config_fields(self):
-        cfg = parse_config_text(MINIMAL + "solver[1].name = myhpo_full\n"
+        cfg = parse_config_text(MINIMAL + "solver[1].name = myhpo_bt\nsolver[1].label = fresh\n"
                                 "solver[1].fresh_w_gradient = yes\nsolver[1].max_iters = 7\n")
         params = cfg.solvers[1].params
         assert params["fresh_w_gradient"] is True

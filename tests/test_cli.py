@@ -132,6 +132,32 @@ def test_bad_solver_params_exit_before_writing(tmp_path, capsys, name, param):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra, key", [
+    pytest.param(f"solver[2].name = {name}\nsolver[2].label = unread\nsolver[2].{key} = {value}",
+                 f"solver[2].{key}", id=f"{name}-{key}")
+    for name, key, value in [
+        ("myhpo_c", "max_halvings", "5"), ("myhpo_c", "inner_tol", "1e-3"),
+        ("myhpo_c", "inner_max_iters", "3"), ("myhpo_bt", "inner_tol", "1e-3"),
+        ("myhpo_bt", "inner_max_iters", "3"), ("myhpo_full", "alpha", "0.7"),
+        ("myhpo_full", "beta", "0.7"), ("myhpo_full", "max_halvings", "5"),
+        ("myhpo_full", "fresh_w_gradient", "true"),
+    ]
+] + [
+    pytest.param("problem.stratified = true", "problem.stratified", id="synthetic-stratified"),
+    pytest.param("problem.counts = 12,6,6\nproblem.train_fraction = 0.4",
+                 "problem.train_fraction", id="counts-train-fraction"),
+    pytest.param("problem.counts = 12,6,6\nproblem.val_fraction = 0.3",
+                 "problem.val_fraction", id="counts-val-fraction"),
+])
+def test_unread_values_exit_before_writing(tmp_path, capsys, extra, key):
+    """A value that nothing reads fails like any bad value: exit 1, no file."""
+    bad = write_config(tmp_path, CONFIG.format(out=tmp_path / "out") + extra + "\n")
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("where", ["config", "override"])
 def test_negative_seed_exits_before_writing(tmp_path, capsys, where):
     text = CONFIG.format(out=tmp_path / "out")
@@ -228,7 +254,9 @@ def test_config_error_exit_code(tmp_path, capsys):
 def test_unknown_solver_exit_code(tmp_path, capsys):
     bad = write_config(tmp_path, CONFIG.format(out=tmp_path / "o").replace("sho", "adam"))
     assert main(["validate", str(bad)]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "config error: solver[0].name: 'adam' is not one of "
+        "('sho', 'myhpo_c', 'myhpo_bt', 'myhpo_full', 'random', 'grid')\n")
 
 
 def test_io_error_exit_code(tmp_path, capsys):

@@ -181,6 +181,16 @@ class TestSplit:
         tr, va, te = split(table, SplitSpec(counts=(20, 10, 10), seed=0))
         assert (tr.n, va.n, te.n) == (20, 10, 10)
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_counts_ignore_fractions(self, stratified):
+        rng = np.random.default_rng(3)
+        table = RawTable(rng.standard_normal((50, 2)), rng.choice([-1.0, 1.0], 50))
+        plain = split(table, SplitSpec(counts=(20, 10, 10), seed=4, stratified=stratified))
+        fractions = SplitSpec(train_fraction=0.2, val_fraction=0.7, counts=(20, 10, 10), seed=4,
+                              stratified=stratified)
+        for a, b in zip(plain, split(table, fractions)):
+            assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
     def test_infeasible_counts(self):
         rng = np.random.default_rng(4)
         table = RawTable(rng.standard_normal((10, 2)), rng.standard_normal(10))

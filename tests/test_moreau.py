@@ -678,6 +678,32 @@ class TestFixedPoint:
         assert res.r_norm == 0.0 and res.s_norm == 0.0
 
 
+# a non-default value of each field in UNREAD_FIELDS; each one changes the
+# 30 x 6 logistic run below of a variant that reads the field
+NON_DEFAULT = {"alpha": 0.7, "beta": 0.9, "max_halvings": 1, "inner_tol": 1e-2,
+               "inner_max_iters": 2, "fresh_w_gradient": True}
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+@pytest.mark.parametrize("solver, key", [(solver, key) for solver, keys in
+                                         moreau.UNREAD_FIELDS.items() for key in keys])
+def test_unread_fields_leave_every_row_alone(kind, solver, key):
+    """A field declared unread changes no row of its variant's run."""
+    rng = np.random.default_rng(11)
+    make = random_regression if kind == "least_squares" else random_classification
+    train, val = make(rng, 30, 6), make(rng, 15, 6, role="validation")
+    variant = {name: v for v, name in moreau.VARIANT_SOLVERS.items()}[solver]
+
+    def rows(**changed):
+        cfg = MyhpoConfig(variant=variant, delta=0.25, max_iters=12, eps_tol=1e-30, **changed)
+        trace = myhpo_run(MyhpoState.initial(6), LossSpec(kind), train, val, cfg, budget=200)
+        return trace.note, trace.diverged, [dataclasses.astuple(r) for r in trace.rows]
+
+    default = rows()
+    assert default[:2] == ("", False) and len(default[2]) == 12
+    assert rows(**{key: NON_DEFAULT[key]}) == default
+
+
 class TestRun:
     def test_budget_must_cover_one_step(self, ls_spec):
         train, val = one_d_sets()
