@@ -434,17 +434,20 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True):
     recorded in its trace note instead.
     """
     traces: list[RunTrace] = []
+    # read a file-backed table once and split it for the first run seed before
+    # any write, so checks on its data fail first; draw a synthetic one per seed
+    table = None if cfg.problem["kind"] == "synthetic" else _load_table(cfg.problem)
+    built = {} if table is None else {cfg.seed: _build_problem(cfg.problem, cfg.seed, table)}
     if write:
         os.makedirs(cfg.output_dir, exist_ok=True)
         log_path = os.path.join(cfg.output_dir, "config_resolved.txt")
         with open(log_path, "w", encoding="utf-8") as fh:
             fh.write(cfg.resolved_text())
-    # a file-backed table is read once; a synthetic one is drawn per run seed
-    table = None if cfg.problem["kind"] == "synthetic" else _load_table(cfg.problem)
     config_hash = cfg.config_hash
     for rep in range(cfg.repetitions):
         run_seed = cfg.seed + rep
-        spec, train, val, test, base_meta = _build_problem(cfg.problem, run_seed, table)
+        spec, train, val, test, base_meta = (built.pop(run_seed, None)
+                                             or _build_problem(cfg.problem, run_seed, table))
         base_meta["budget_n_g"] = cfg.budget_n_g
         for i, block in enumerate(cfg.solvers):
             meta = dict(base_meta, block_index=i, repetition=rep, run_seed=run_seed,

@@ -300,6 +300,19 @@ def _fit_loss_block(spec: LossSpec, W: np.ndarray, data: Dataset) -> np.ndarray:
     return np.logaddexp(0.0, z, out=z).mean(axis=0)
 
 
+# Handing a block's report to a thread costs the solver 0.25 ms (2-vCPU x86 VM,
+# one BLAS thread): 140 us to start it, 80 us of report_block's Python holding
+# the GIL. A least-squares report there takes 0.074 ns per multiply-add (3.8 ms
+# for 64 rows, d = 400, 2,000 split rows), so 10x the hand-off, 2.5 ms, is 2^25
+# per block, 2^19 per row. Below that, GIL and cache contention ate the overlap.
+OFFLOAD_MIN_WORK = 2 ** 19
+
+
+def offload_report(train: Dataset, val: Dataset, test: Dataset | None) -> bool:
+    """Whether a row's report work, ``d`` times the splits' rows, reaches ``OFFLOAD_MIN_WORK``."""
+    return train.d * (train.n + val.n + (0 if test is None else test.n)) >= OFFLOAD_MIN_WORK
+
+
 def report_block(spec: LossSpec, W: np.ndarray, lams: list[float], train: Dataset, val: Dataset,
                  test: Dataset | None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Train, validation and test losses at each row of ``W``, row ``k`` at ``lams[k]``.
@@ -309,7 +322,9 @@ def report_block(spec: LossSpec, W: np.ndarray, lams: list[float], train: Datase
     summation order; the test losses are None without a test split. Each
     split costs one matrix product, reusing ``X`` across all rows. A
     non-finite row of ``W`` gives non-finite losses in its own row only,
-    silently: callers detect divergence with isfinite.
+    silently: callers detect divergence with isfinite. It may run on a
+    worker thread beside the solver (``offload_report``), so it reads only
+    the splits' ``X``, ``y`` and sizes, never a memoized product.
     """
     _require_role(train, ("train",))
     _require_role(val, ("validation", "test"))

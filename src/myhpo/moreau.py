@@ -98,6 +98,7 @@ from .model import (
     best_response,
     grad_w_train,
     grad_w_val,
+    offload_report,
     report_block,
     require_finite,
     split_best_response,
@@ -521,9 +522,9 @@ def myhpo_run(
     Non-finite iterates mark the trace diverged; a degenerate split or a
     failed inner solve stops the run with the reason in the trace note.
     Losses are reported at the consensus iterate ``w``, ``BLOCK`` rows per
-    ``report_block`` call (``trace.record_run``): the trace ends at the
-    first non-finite loss, and the up to ``BLOCK - 1`` steps taken past it
-    are discarded.
+    ``report_block`` call (``trace.record_run``, on a thread if ``offload_report``):
+    the trace ends at the first non-finite loss, and the up to ``BLOCK - 1``
+    (``2 * BLOCK - 1`` on a thread) steps taken past it are discarded.
     """
     if budget < 2:
         raise ValueError("budget must be at least 2")
@@ -532,7 +533,8 @@ def myhpo_run(
                      meta={**asdict(cfg), "budget": budget, "lambda0": init.lam, **(meta or {})})
     rows = _myhpo_rows(init, spec, train, val, cfg, budget)
     return record_run(trace, rows, lambda W, lams: report_block(spec, W, lams, train, val, test),
-                      stop_errors=(SplitDegenerate, InnerSolveFailed))
+                      stop_errors=(SplitDegenerate, InnerSolveFailed),
+                      offload=offload_report(train, val, test))
 
 
 def _myhpo_rows(state, spec, train, val, cfg, budget):

@@ -30,6 +30,7 @@ from .model import (
     best_response,
     grad_lambda_val,
     grad_w_train,
+    offload_report,
     report_block,
     require_finite,
 )
@@ -117,8 +118,8 @@ def sho_run(
     evaluations or ``cfg.max_iters`` is reached. A non-finite iterate or
     loss marks the trace diverged and keeps the rows recorded so far.
     Losses are reported at ``G(lam)``, ``BLOCK`` rows per ``report_block``
-    call (``trace.record_run``); steps taken past the first non-finite
-    loss are discarded.
+    call (``trace.record_run``, on a worker thread if ``offload_report``);
+    steps taken past the first non-finite loss are discarded.
     """
     if budget < 2:
         raise ValueError("budget must be at least 2")
@@ -127,7 +128,8 @@ def sho_run(
     trace = RunTrace(solver="sho", label=label, seed=cfg.seed, prng=PRNG_ID,
                      meta={**params, "budget": budget, "lambda0": init.lam, **(meta or {})})
     return record_run(trace, _sho_rows(init, spec, train, val, cfg, budget),
-                      lambda W, lams: report_block(spec, W, lams, train, val, test))
+                      lambda W, lams: report_block(spec, W, lams, train, val, test),
+                      offload=offload_report(train, val, test))
 
 
 def _sho_rows(state, spec, train, val, cfg, budget):

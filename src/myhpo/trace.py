@@ -21,15 +21,16 @@ before its column header does not read.
 records the rows a solver yields and turns blowup and solver stop
 exceptions into the trace's divergence flag and note. Losses are reported
 a block of ``BLOCK`` rows at a time, one matrix product per split for the
-whole block, so a run's solver may step up to ``BLOCK - 1`` rows past the
-first non-finite loss; the trace is cut at that row and the steps past it
-are discarded.
+whole block, so a run's solver may step up to ``BLOCK - 1`` rows (``2 *
+BLOCK - 1`` with a worker thread) past the first non-finite loss; the trace
+is cut at that row and the steps past it are discarded.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -175,7 +176,7 @@ class RunTrace:
 
 
 def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],
-               report: Callable, stop_errors: tuple = ()) -> RunTrace:
+               report: Callable, stop_errors: tuple = (), offload: bool = False) -> RunTrace:
     """Append the rows a solver run yields to ``trace`` and return it.
 
     The run yields each row, its losses unset, with the iterate they belong
@@ -184,33 +185,57 @@ def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],
     returns per-row train, validation and test (or None) losses as
     ``model.report_block`` does. The buffer is flushed when it is full, when
     the run ends, and before a ``NonFiniteIterate`` or stop exception is
-    handled.
+    handled. With ``offload`` a full buffer is reported on its own thread and
+    joined at the next flush, raising what ``report`` raised, or on exit.
 
     The trace is cut at the first row with a non-finite train or validation
-    loss, which marks it diverged; the up to ``BLOCK - 1`` steps the solver
-    took past that row are discarded. A ``NonFiniteIterate`` raised by the
-    run marks the trace diverged and keeps the rows recorded so far. An
-    exception in ``stop_errors`` ends the run with ``"<ExcName>: <message>"``
-    in the trace note, unless a buffered row has already cut the trace.
-    Blowup is detected by isfinite checks, so numpy overflow noise is
-    silenced.
+    loss, which marks it diverged; the up to ``BLOCK - 1`` (``2 * BLOCK - 1``
+    with ``offload``) steps the solver took past that row are discarded. A
+    ``NonFiniteIterate`` raised by the run marks the trace diverged and
+    keeps the rows recorded so far. An exception in ``stop_errors`` ends the
+    run with ``"<ExcName>: <message>"`` in the trace note, unless a buffered
+    row has already cut the trace. Blowup is detected by isfinite checks, so
+    numpy overflow noise is silenced.
     """
     pending: list[TraceRow] = []
     iterates = None  # row k holds the iterate of pending[k]
+    handed = None  # the block on a worker: its thread, rows and [losses or exception]
 
-    def flush() -> bool:
-        """Report and append the buffered rows; False once a row cuts the trace."""
-        if not pending:
-            return True
-        train, val, test = report(iterates[:len(pending)], [row.lam for row in pending])
-        for k, row in enumerate(pending):
+    def append(block: list[TraceRow], train, val, test) -> bool:
+        """Fill in and append the rows of ``block``; False once a row cuts the trace."""
+        for k, row in enumerate(block):
             row.train_loss, row.val_loss = float(train[k]), float(val[k])
             if not (math.isfinite(row.train_loss) and math.isfinite(row.val_loss)):
                 trace.diverged = True
                 return False
             row.test_loss = None if test is None else float(test[k])
             trace.append(row)
+        return True
+
+    def flush(hand_off: bool = False) -> bool:
+        """Append the worker's block, then report the buffer: now, or on a new worker."""
+        nonlocal iterates, handed
+        if handed:
+            thread, block, out = handed
+            thread.join()
+            handed = None
+            if isinstance(out[0], BaseException):
+                raise out[0]
+            if not append(block, *out[0]):
+                return False
+        block, lams = pending[:], [row.lam for row in pending]
         pending.clear()
+        if not hand_off:
+            return not block or append(block, *report(iterates[:len(block)], lams))
+        W, iterates, out = iterates, np.empty_like(iterates), []
+
+        def work():
+            try:
+                out.append(report(W, lams))
+            except BaseException as exc:  # raised again at the join
+                out.append(exc)
+        (thread := threading.Thread(target=work)).start()
+        handed = thread, block, out
         return True
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,7 +245,7 @@ def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],
                     iterates = np.empty((BLOCK, len(w)))
                 iterates[len(pending)] = w
                 pending.append(row)
-                if len(pending) == BLOCK and not flush():
+                if len(pending) == BLOCK and not flush(offload):
                     return trace
             flush()
         except NonFiniteIterate:
@@ -229,4 +254,7 @@ def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],
         except stop_errors as exc:
             if flush():
                 trace.note = f"{type(exc).__name__}: {exc}"
+        finally:
+            if handed:
+                handed[0].join()
     return trace

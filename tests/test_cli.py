@@ -3,6 +3,7 @@ import io
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +98,27 @@ def test_constant_regression_targets_exit_code(tmp_path, capsys):
     assert main(["run", str(write_config(tmp_path, text))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: train split targets are constant")
+
+
+@pytest.mark.parametrize("data_file, code, error", [
+    ("normal.csv", 1, "config error: stratified splits require -1/+1 labels"),
+    ("missing.csv", 2, "i/o error:"),
+])
+def test_a_run_that_fails_on_its_data_writes_nothing(tmp_path, capsys, data_file, code, error):
+    """The checks that need the table run before ``output_dir`` is created."""
+    rng = np.random.default_rng(0)
+    (tmp_path / "normal.csv").write_text(
+        "x0,x1,y\n" + "".join(",".join(map(str, row)) + "\n"
+                              for row in rng.standard_normal((40, 3)).tolist()))
+    text = (f"problem.kind = csv\nproblem.path = {tmp_path / data_file}\nproblem.target = y\n"
+            f"problem.stratified = true\nbudget_n_g = 10\noutput_dir = {tmp_path / 'out'}\n"
+            "solver[0].name = sho\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == code
+    assert capsys.readouterr().err.startswith(error)
+    assert not (tmp_path / "out").exists()
 
 
 def test_truncated_trace_exit_code(tmp_path, capsys):

@@ -1,21 +1,29 @@
 """The block contract of ``trace.record_run``: rows are reported ``BLOCK`` at a
 time, the trace is cut at the first non-finite loss, and stop exceptions are
-handled only after the buffered rows."""
+handled only after the buffered rows. Every scripted scenario also runs with
+the blocks reported on a worker thread, which must give the same trace."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import myhpo.model
+import myhpo.moreau
+import myhpo.sho
 from myhpo.model import (
     LossSpec,
     NonFiniteIterate,
     SplitDegenerate,
+    offload_report,
     report_block,
     train_loss,
     val_loss,
 )
 from myhpo.moreau import MyhpoConfig, MyhpoState, my_step_full, myhpo_run
+from myhpo.sho import ShoConfig, ShoState, sho_run
 from myhpo.trace import BLOCK, RunTrace, TraceRow, record_run
 from conftest import random_regression
 
@@ -51,15 +59,17 @@ class Script:
             raise self.raise_at_end
 
 
-def record(script):
+def record(script, offload=False, delay=0.0):
+    """Record ``script``'s rows; each report call sleeps ``delay`` seconds first."""
     train, val, test = splits()
     calls = []
 
     def report(W, lams):
+        time.sleep(delay)
         calls.append(len(W))
         return report_block(SPEC, W, lams, train, val, test)
 
-    trace = record_run(RunTrace("scripted", "scripted", 0), script, report, STOPS)
+    trace = record_run(RunTrace("scripted", "scripted", 0), script, report, STOPS, offload)
     return trace, calls
 
 
@@ -114,6 +124,98 @@ def test_stop_error_keeps_every_buffered_row_and_its_note():
     trace, _ = record(Script(BLOCK + 7, raise_at_end=SplitDegenerate("|lam| too small")))
     assert_rows_match_oracle(trace, BLOCK + 7)
     assert not trace.diverged and trace.note == "SplitDegenerate: |lam| too small"
+
+
+# every scenario above, run inline and offloaded by the test below
+SCENARIOS = {
+    **{f"end-at-{n}": (lambda n=n: Script(n)) for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK)},
+    "cut-in-second-block": lambda: Script(4 * BLOCK, bad=[BLOCK + 5]),
+    "non-finite-loss-then-iterate": lambda: Script(
+        BLOCK + 10, bad=[BLOCK + 3], raise_at_end=NonFiniteIterate("non-finite iterate")),
+    "non-finite-iterate": lambda: Script(
+        BLOCK + 10, raise_at_end=NonFiniteIterate("non-finite iterate")),
+    "stop-after-non-finite-loss": lambda: Script(
+        7, bad=[4], raise_at_end=SplitDegenerate("|lam| too small")),
+    "stop-after-non-finite-loss-in-flight": lambda: Script(
+        BLOCK + 7, bad=[4], raise_at_end=SplitDegenerate("|lam| too small")),
+    "stop-in-flight": lambda: Script(BLOCK + 7, raise_at_end=SplitDegenerate("|lam| too small")),
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_the_offloaded_path_gives_the_inline_trace(name):
+    """The same rows, losses, flag and note; each report sleeps, so a block is
+    still on its worker when the run ends or raises."""
+    inline, offloaded = SCENARIOS[name](), SCENARIOS[name]()
+    expected, inline_calls = record(inline)
+    trace, calls = record(offloaded, offload=True, delay=0.02)
+    assert trace.rows and trace.rows == expected.rows
+    assert (trace.diverged, trace.note) == (expected.diverged, expected.note)
+    assert calls == inline_calls
+    # at most one block more past a cut: the cut block is joined a block later
+    assert inline.produced <= offloaded.produced <= inline.produced + BLOCK
+
+
+@pytest.mark.parametrize("offload", [False, True], ids=["inline", "offloaded"])
+def test_an_exception_in_the_report_is_raised(offload):
+    script = Script(3 * BLOCK)
+
+    def report(W, lams):
+        raise RuntimeError("report failed")
+
+    with pytest.raises(RuntimeError, match="report failed"):
+        record_run(RunTrace("scripted", "scripted", 0), script, report, STOPS, offload)
+    # raised at the join, before the next block is handed off
+    assert script.produced == (2 if offload else 1) * BLOCK
+
+
+def test_no_worker_outlives_a_run():
+    before = threading.active_count()
+    trace, _ = record(Script(3 * BLOCK + 5), offload=True, delay=0.01)
+    assert len(trace.rows) == 3 * BLOCK + 5
+    # the solver fails while its first block is still on the worker
+    with pytest.raises(RuntimeError, match="solver bug"):
+        record(Script(BLOCK + 3, raise_at_end=RuntimeError("solver bug")), offload=True,
+               delay=0.2)
+    assert threading.active_count() == before
+
+
+def offload_problem():
+    """Least-squares splits whose report work reaches the offload rule exactly."""
+    rng = np.random.default_rng(5)
+    d = 256
+    return (random_regression(rng, 1024, d, "train"), random_regression(rng, 512, d, "validation"),
+            random_regression(rng, 512, d, "test"))
+
+
+RUNS = {
+    "sho": lambda tr, va, te: sho_run(ShoState.initial(tr.d), SPEC, tr, va,
+                                      ShoConfig(seed=3), budget=300, test=te),
+    "myhpo_bt": lambda tr, va, te: myhpo_run(MyhpoState.initial(tr.d), SPEC, tr, va,
+                                             MyhpoConfig(variant="simplified_backtracking"),
+                                             budget=300, test=te),
+    # stops on InnerSolveFailed in its second block
+    "myhpo_full": lambda tr, va, te: myhpo_run(MyhpoState.initial(tr.d), SPEC, tr, va,
+                                               MyhpoConfig(variant="full"), budget=10_000,
+                                               test=te),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_solver_traces_are_the_same_with_the_offload_on_and_off(name, monkeypatch):
+    train, val, test = offload_problem()
+    assert offload_report(train, val, test)
+    seen = []
+    for module in (myhpo.sho, myhpo.moreau):
+        def spy(*args, _record_run=module.record_run, **kwargs):
+            seen.append(kwargs["offload"])
+            return _record_run(*args, **kwargs)
+        monkeypatch.setattr(module, "record_run", spy)
+    on = RUNS[name](train, val, test)
+    monkeypatch.setattr(myhpo.model, "OFFLOAD_MIN_WORK", math.inf)
+    off = RUNS[name](train, val, test)
+    assert seen == [True, False]
+    assert len(on.rows) > BLOCK and on == off
 
 
 def test_an_eps_tol_stop_inside_a_block_reports_every_row():

@@ -5,12 +5,14 @@ Usage::
     python3 tools/byte_gate.py SRC
 
 runs the package under ``SRC`` (``PYTHONPATH=SRC``, ``OPENBLAS_NUM_THREADS=1``)
-in four groups, each in a fresh temporary directory:
+in five groups, each in a fresh temporary directory:
 
-- ``stability``, ``logistic``, ``least_squares``: ``python -m myhpo`` on
-  ``demos/configs/stability.cfg`` and on two gate configs this script
-  writes, a logistic csv problem and a synthetic least-squares problem,
-  with a relative ``output_dir`` and relative data paths, through ``run``,
+- ``stability``, ``logistic``, ``least_squares``, ``offload``: ``python -m
+  myhpo`` on ``demos/configs/stability.cfg`` and on three gate configs this
+  script writes, a logistic csv problem, a small synthetic least-squares
+  problem and a synthetic least-squares problem large enough that its runs
+  report their losses on a worker thread (``model.offload_report``), with a
+  relative ``output_dir`` and relative data paths, through ``run``,
   ``summarize``, ``curves --x iter`` and ``curves --x n_grad`` on the
   config's ``output_dir``, ``validate`` and ``--seed 7 validate``;
 - ``demos``: every ``*.py`` script in ``SRC/../demos``, the demos of the
@@ -34,7 +36,7 @@ losses moved::
 
     python3 tools/byte_gate.py --compare ../parent/src src
 
-runs the three CLI groups on both sides and reads every ``*.trace.csv``
+runs the four CLI groups on both sides and reads every ``*.trace.csv``
 both left. It requires the same trace files, each command's exit code and
 stderr, each trace's header lines (``diverged``, ``note`` and the
 parameters among them), row count and ledger cells (``iter``, ``n_grad``,
@@ -126,6 +128,28 @@ solver[7].delta = 20
 """
 
 
+# d = 400 on 2,000 split rows: 800,000 multiply-adds of report work per row,
+# above model.OFFLOAD_MIN_WORK; every run but one is more than two report
+# blocks long, and sho-diverge is cut at row 70, in its second block
+OFFLOAD = """\
+problem.kind = synthetic
+problem.n = 2000
+problem.d = 400
+problem.kappa = 100
+budget_n_g = 300
+repetitions = 1
+seed = 11
+output_dir = out
+solver[0].name = sho
+solver[1].name = myhpo_bt
+solver[2].name = myhpo_full
+solver[3].name = sho
+solver[3].label = sho-diverge
+solver[3].alpha = 1.5
+solver[3].beta = 0.01
+"""
+
+
 def _classes_csv() -> str:
     """A seeded 120 x 6 table whose label column holds the classes 3 and 7."""
     rng = np.random.default_rng(0)
@@ -205,7 +229,8 @@ def _cli_groups() -> dict[str, dict[str, str]]:
         stability = fh.read()
     return {"stability": {"stability.cfg": stability},
             "logistic": {"gate.cfg": LOGISTIC, "data.csv": _classes_csv()},
-            "least_squares": {"gate.cfg": LEAST_SQUARES}}
+            "least_squares": {"gate.cfg": LEAST_SQUARES},
+            "offload": {"gate.cfg": OFFLOAD}}
 
 
 # trace columns that must match exactly; every other column is compared numerically
