@@ -274,13 +274,15 @@ def _resolve_problem(problem: dict) -> dict:
         parts = str(out["counts"]).split(",")
         if len(parts) != 3:
             raise SchemaError("problem.counts", "expected three comma-separated counts")
-        # echoed as it is written, so the echo parses back
-        out["counts"] = ",".join(str(_coerce("problem.counts", p.strip(), int)) for p in parts)
+        counts = tuple(_coerce("problem.counts", p.strip(), int) for p in parts)
+        out["counts"] = ",".join(map(str, counts))  # echoed as written, so the echo parses back
         for key in ("train_fraction", "val_fraction"):
             if out[key] != _PROBLEM_KEYS[key][1]:
                 raise SchemaError(f"problem.{key}", "problem.counts overrides it; only its "
                                   f"default {_PROBLEM_KEYS[key][1]!r} is accepted")
-    try:  # the specs' own checks; counts meet the table size only at run time
+        if kind == "synthetic" and sum(counts) > out["n"]:
+            raise SchemaError("problem.counts", f"split sizes {counts} exceed {out['n']} rows")
+    try:  # the specs' own checks; counts meet a file's table size only at run time
         if kind == "synthetic":
             _synthetic_spec(out, seed=0)
         _split_spec(out, seed=0)
@@ -434,10 +436,10 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True):
     recorded in its trace note instead.
     """
     traces: list[RunTrace] = []
-    # read a file-backed table once and split it for the first run seed before
-    # any write, so checks on its data fail first; draw a synthetic one per seed
+    # read a file-backed table once (a synthetic one is drawn per seed) and build
+    # the first run seed's problem before any write, so checks on its data fail first
     table = None if cfg.problem["kind"] == "synthetic" else _load_table(cfg.problem)
-    built = {} if table is None else {cfg.seed: _build_problem(cfg.problem, cfg.seed, table)}
+    built = {cfg.seed: _build_problem(cfg.problem, cfg.seed, table)}
     if write:
         os.makedirs(cfg.output_dir, exist_ok=True)
         log_path = os.path.join(cfg.output_dir, "config_resolved.txt")
@@ -535,14 +537,21 @@ def summarize_traces(traces: list[RunTrace]) -> SummaryTable:
     return SummaryTable(entries=entries)
 
 
+# a summary value (x1e-2) of at least this magnitude prints in exponent notation,
+# so that no cell runs past about a hundred digits
+_FIXED_POINT_MAX = 1e100
+
+
 def _fmt_cell(mean: float, std: float) -> str:
     if math.isnan(mean):
         return "n/a"
-    return f"{mean * 100:.2f} ± {std * 100:.2f}"
+    return " ± ".join(f"{x:.2f}" if abs(x) < _FIXED_POINT_MAX else f"{x:.2e}"
+                      for x in (mean * 100, std * 100))
 
 
 def render_summary(table: SummaryTable, fmt: str = "aligned-text") -> str:
-    """Render the summary grid: solver columns, loss rows, values x 1e-2."""
+    """Render the summary grid: solver columns, loss rows, values x 1e-2, in
+    exponent notation from a magnitude of ``_FIXED_POINT_MAX`` (1e100) on."""
     grid = [
         ["metric"] + [e.label for e in table.entries],
         ["train (x1e-2)"] + [_fmt_cell(e.train_mean, e.train_std) for e in table.entries],

@@ -17,6 +17,17 @@ form (``str`` of a float is its ``repr``), so rereading is bit-exact and
 rerunning a config reproduces byte-identical files. A file that ends
 before its column header does not read.
 
+In memory a ``RunTrace`` keeps its rows as typed columns, ``array('q')``
+for the integer columns and ``array('d')`` for the float ones, plus one
+byte per row whose bits mark the optional cells that are None. The columns
+are held in chunks of ``CHUNK`` rows, so that no buffer outgrows CPython's
+small-object allocator (see the comment at ``CHUNK``): about 97 bytes a
+row, where a list of ``TraceRow`` objects takes about 400.
+``RunTrace.rows`` builds ``TraceRow`` objects from the columns on access,
+so each row it returns is a copy; ``write_csv`` formats lines straight
+from the columns and ``read_csv`` parses straight into them. An integer
+outside the 64-bit range is a ``ValueError``.
+
 ``record_run`` is the one run loop behind every iterative solver: it
 records the rows a solver yields and turns blowup and solver stop
 exceptions into the trace's divergence flag and note. Losses are reported
@@ -31,9 +42,11 @@ from __future__ import annotations
 import math
 import re
 import threading
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from array import array
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, fields
+from itertools import chain, islice
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -65,13 +78,23 @@ class TraceRow:
         return ["" if value is None else str(value) for value in _values(self)]
 
 
-# a cell is read back by its field's type
-_READERS = {"int": int, "float": float,
-            "float | None": lambda cell: None if cell == "" else float(cell)}
 _FIELDS = fields(TraceRow)
 TRACE_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in _FIELDS)
 _values = attrgetter(*(f.name for f in _FIELDS))
-_READ = [_READERS[f.type] for f in _FIELDS]
+# the store: each chunk of a trace holds CHUNK rows, as one array per column of
+# the column's typecode and a bytearray with one byte per row whose bit
+# _NONE_BITS[k] marks column k's cell None (its stored value is then 0.0)
+_TYPECODES = tuple("q" if f.type == "int" else "d" for f in _FIELDS)
+_optional = [f.type == "float | None" for f in _FIELDS]
+_NONE_BITS = tuple(1 << sum(_optional[:k]) if opt else 0 for k, opt in enumerate(_optional))
+_OPTIONAL = tuple((k, bit) for k, bit in enumerate(_NONE_BITS) if bit)
+# A chunk's column is 64 cells of 8 bytes: 512 bytes, the largest block that
+# CPython's small-object allocator serves from its own arenas. A column kept
+# in one growing buffer lives on the malloc heap instead, where a few KB that
+# outlive a large array's free can take part of its slot, so that the next
+# array of that size extends the heap: logistic-784 read 4 MB more peak RSS.
+CHUNK = 64
+_BLANK = tuple(array(code, [0]) * CHUNK for code in _TYPECODES)  # copied exactly
 
 
 def _escape(value) -> str:
@@ -85,31 +108,157 @@ def _unescape(value: str) -> str:
     return re.sub(r"\\(.)", lambda m: _ESCAPES.get(m[1], m[0]), value)
 
 
-@dataclass
+def _count(chunks: list[list]) -> int:
+    """The rows in ``chunks``: every chunk but the last is full."""
+    return (len(chunks) - 1) * CHUNK + len(chunks[-1][-1]) if chunks else 0
+
+
+class TraceRows(Sequence):
+    """The rows of a trace, read from its columns: each row it returns is a new
+    ``TraceRow``, so changing one leaves the trace as it was."""
+
+    __slots__ = ("_chunks",)
+
+    def __init__(self, chunks: list[list]):
+        self._chunks = chunks
+
+    def __len__(self) -> int:
+        return _count(self._chunks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = range(len(self))[index]
+        chunk, j = self._chunks[k // CHUNK], k % CHUNK
+        none = chunk[-1][j]
+        return TraceRow(*[None if none & bit else column[j]
+                          for column, bit in zip(chunk, _NONE_BITS)])
+
+    def __iter__(self):
+        return map(TraceRow, *_cells(self._chunks, None))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"TraceRows({list(self)!r})"
+
+
+def _cells(chunks: list[list], empty, cell=None) -> list:
+    """Each column as an iterable of its cells, ``cell`` applied to each value
+    and ``empty`` in place of each None cell."""
+    n = _count(chunks)
+    none = b"".join(chunk[-1] for chunk in chunks)
+    marks = set(none)
+    out = []
+    for c, bit in enumerate(_NONE_BITS):
+        if bit and marks and all(mark & bit for mark in marks):
+            out.append([empty] * n)
+            continue
+        values = islice(chain.from_iterable(map(itemgetter(c), chunks)), n)
+        if cell is not None:
+            values = map(cell, values)
+        if any(mark & bit for mark in marks):
+            values = [empty if mark & bit else value for mark, value in zip(none, values)]
+        out.append(values)
+    return out
+
+
+def _parse(rows: list[list[str]]) -> list[list]:
+    """The chunks of rows of text cells; a bad cell raises ``ValueError``."""
+    for cells in rows:
+        if len(cells) != len(TRACE_COLUMNS):
+            raise ValueError(f"{len(cells)} cells, expected {len(TRACE_COLUMNS)}")
+    none = bytearray(len(rows))
+    columns = []
+    for name, code, bit, cells in zip(TRACE_COLUMNS, _TYPECODES, _NONE_BITS,
+                                      zip(*rows) if rows else [()] * len(TRACE_COLUMNS)):
+        if bit and "" in cells:
+            for k, cell in enumerate(cells):
+                if not cell:
+                    none[k] |= bit
+            cells = [cell or 0.0 for cell in cells]
+        try:
+            columns.append(array(code, map(float if code == "d" else int, cells)))
+        except OverflowError:
+            raise ValueError(f"{name} is outside the 64-bit integer range") from None
+    for column, blank in zip(columns, _BLANK):  # a full last chunk, to append to
+        column += blank[:-len(rows) % CHUNK]
+    return [[column[i:i + CHUNK] for column in columns] + [none[i:i + CHUNK]]
+            for i in range(0, len(rows), CHUNK)]
+
+
 class RunTrace:
-    solver: str
-    label: str
-    seed: int
-    meta: dict = field(default_factory=dict)
-    prng: str | None = None
-    diverged: bool = False
-    note: str = ""
-    rows: list[TraceRow] = field(default_factory=list)
+    """A run's header and its rows, kept as typed columns in chunks of ``CHUNK`` rows."""
+
+    _HEADER = ("solver", "label", "seed", "meta", "prng", "diverged", "note")
+
+    def __init__(self, solver: str, label: str, seed: int, meta: dict | None = None,
+                 prng: str | None = None, diverged: bool = False, note: str = "",
+                 rows: Iterable[TraceRow] = ()):
+        self.solver, self.label, self.seed = solver, label, seed
+        self.meta = {} if meta is None else meta
+        self.prng, self.diverged, self.note = prng, diverged, note
+        self.rows = rows
+
+    @property
+    def rows(self) -> TraceRows:
+        return TraceRows(self._chunks)
+
+    @rows.setter
+    def rows(self, rows: Iterable[TraceRow]):
+        self._chunks: list[list] = []
+        for row in rows:
+            self._store(_values(row))
+
+    def __eq__(self, other):
+        if not isinstance(other, RunTrace):
+            return NotImplemented
+        return (all(getattr(self, key) == getattr(other, key) for key in self._HEADER)
+                and self.rows == other.rows)
+
+    def __repr__(self) -> str:
+        header = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._HEADER)
+        return f"RunTrace({header}, rows=<{len(self.rows)} rows>)"
+
+    def _store(self, values: tuple):
+        """Append one row's values, in column order, to the last chunk."""
+        none = 0
+        for k, bit in _OPTIONAL:
+            if values[k] is None:
+                none |= bit
+        chunks = self._chunks
+        if not chunks or len(chunks[-1][-1]) == CHUNK:
+            chunks.append([blank[:] for blank in _BLANK] + [bytearray()])
+        chunk = chunks[-1]
+        j = len(chunk[-1])
+        for c, (column, value) in enumerate(zip(chunk, values)):
+            try:
+                column[j] = 0.0 if value is None else value
+            except OverflowError:
+                raise ValueError(f"{TRACE_COLUMNS[c]} is outside the 64-bit integer range") from None
+        chunk[-1].append(none)  # the row counts from here, so a failed store adds none of it
 
     def append(self, row: TraceRow):
-        if self.rows and row.n_grad <= self.rows[-1].n_grad:
+        k = _count(self._chunks) - 1
+        if k >= 0 and row.n_grad <= self._chunks[k // CHUNK][1][k % CHUNK]:
             raise ValueError("n_grad must be strictly increasing")
-        self.rows.append(row)
+        self._store(_values(row))
 
     @property
     def final_row(self) -> TraceRow | None:
-        return self.rows[-1] if self.rows else None
+        rows = self.rows
+        return rows[-1] if rows else None
 
     def final_finite_row(self) -> TraceRow | None:
         """Last row whose train and validation losses are finite."""
-        for row in reversed(self.rows):
-            if math.isfinite(row.train_loss) and math.isfinite(row.val_loss):
-                return row
+        chunks = self._chunks
+        for k in range(_count(chunks) - 1, -1, -1):
+            chunk, j = chunks[k // CHUNK], k % CHUNK
+            if math.isfinite(chunk[3][j]) and math.isfinite(chunk[4][j]):
+                return self.rows[k]
         return None
 
     def write_csv(self, path):
@@ -123,8 +272,7 @@ class RunTrace:
         ] + [(f"meta.{key}", self.meta[key]) for key in sorted(self.meta)]
         lines = [f"# {key} = {_escape(value)}" for key, value in header]
         lines.append(",".join(TRACE_COLUMNS))
-        for row in self.rows:
-            lines.append(",".join(row.as_cells()))
+        lines += map(",".join, zip(*_cells(self._chunks, "", str)))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -132,7 +280,7 @@ class RunTrace:
     def read_csv(cls, path) -> "RunTrace":
         header: dict[str, str] = {}
         meta: dict[str, str] = {}
-        rows: list[TraceRow] = []
+        rows: list[list[str]] = []
         saw_columns = False
         # no newline translation: a raw CR is part of a line, not its end
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
@@ -154,16 +302,20 @@ class RunTrace:
                         raise ValueError(f"unexpected trace columns in {path}")
                     saw_columns = True
                     continue
-                cells = line.split(",")
-                try:
-                    if len(cells) != len(TRACE_COLUMNS):
-                        raise ValueError(f"{len(cells)} cells, expected {len(TRACE_COLUMNS)}")
-                    rows.append(TraceRow(*[read(c) for read, c in zip(_READ, cells)]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: trace row {len(rows) + 1}: {exc}") from None
+                rows.append(line.split(","))
         if not saw_columns:
             raise ValueError(f"{path}: the trace ends before its column line")
-        return cls(
+        try:
+            chunks = _parse(rows)
+        except ValueError:
+            # name the first bad row, and in it the first bad cell
+            for k, cells in enumerate(rows, start=1):
+                try:
+                    _parse([cells])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: trace row {k}: {exc}") from None
+            raise
+        trace = cls(
             solver=header.get("solver", ""),
             label=header.get("label", ""),
             seed=int(header.get("seed", "0")),
@@ -171,8 +323,9 @@ class RunTrace:
             prng=header.get("prng") or None,
             diverged=header.get("diverged", "false") == "true",
             note=header.get("note", ""),
-            rows=rows,
         )
+        trace._chunks = chunks
+        return trace
 
 
 def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from myhpo.model import Dataset, LossSpec
 
@@ -32,3 +33,15 @@ def ridge_solution(train, lam):
     a = train.X.T @ train.X / train.n + 2.0 * np.exp(lam) * np.eye(train.d)
     b = train.X.T @ train.y / train.n
     return np.linalg.solve(a, b)
+
+
+# the cells of one trace row: each optional column may be None or any float
+# (NaN, infinities and -0.0 among them) from row to row
+TRACE_ROW_CELLS = st.tuples(
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=0, max_value=2**40),
+    st.floats(), st.floats(), st.floats(),
+    st.none() | st.floats(), st.none() | st.floats(),
+    st.none() | st.floats(), st.none() | st.floats(),
+    st.integers(min_value=0, max_value=2**40),
+)

@@ -24,6 +24,7 @@ from myhpo.bench import (
 from myhpo.data import ZeroVariance
 from myhpo.moreau import MyhpoConfig
 from myhpo.trace import TRACE_COLUMNS, RunTrace, TraceRow
+from conftest import TRACE_ROW_CELLS
 
 MINIMAL = """
 problem.kind = synthetic
@@ -355,6 +356,12 @@ solver[0].name = sho
         # raised by the first run seed's split, before any file was written
         assert not (tmp_path / "run").exists()
 
+    def test_a_synthetic_problem_fails_on_its_data_before_any_write(self, tmp_path):
+        text = MINIMAL + f"problem.counts = 20,3,1\noutput_dir = {tmp_path / 'run'}\n"
+        with pytest.raises(ZeroVariance, match="test split targets are constant"):
+            run_experiment(parse_config_text(text))
+        assert not (tmp_path / "run").exists()
+
     def test_harness_error_is_recorded_as_aborted(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("harness bug")
@@ -449,6 +456,19 @@ class TestSummaries:
         assert entry.val_mean == 2e160
         assert math.isclose(entry.val_std, math.sqrt(2.0) * 1e160, rel_tol=1e-15)
         assert "inf" not in render_summary(SummaryTable([entry]), "aligned-text")
+
+    def test_huge_finals_print_in_exponent_notation(self):
+        traces = []
+        for rep, loss in enumerate((1e150, 3e150)):
+            t = RunTrace(solver="sho", label="s", seed=rep,
+                         meta={"loss": "logistic", "repetition": rep})
+            t.append(TraceRow(iter=1, n_grad=2, lam=-1.0, train_loss=loss,
+                              val_loss=loss / 2, test_loss=loss / 4))
+            traces.append(t)
+        grid = render_summary(summarize_traces(traces), "csv").splitlines()
+        assert grid[1:4] == ["train (x1e-2),2.00e+152 ± 1.41e+152",
+                             "val (x1e-2),1.00e+152 ± 7.07e+151",
+                             "test (x1e-2),5.00e+151 ± 3.54e+151"]
 
     def test_render_alignment(self):
         entry = bench.SolverSummary("a", "sho", 1, 0.01, 0.0, 0.02, 0.0, 0.03, 0.0, 10.0, 0)
@@ -560,14 +580,7 @@ class TestTraceIO:
         assert TRACE_COLUMNS == ("iter", "n_grad", "lambda", "train_loss", "val_loss",
                                  "test_loss", "r_norm", "s_norm", "u_norm", "loss_eval_count")
 
-    @given(st.lists(st.tuples(
-        st.integers(min_value=0, max_value=2**40),
-        st.integers(min_value=0, max_value=2**40),
-        st.floats(), st.floats(), st.floats(),
-        st.none() | st.floats(), st.none() | st.floats(),
-        st.none() | st.floats(), st.none() | st.floats(),
-        st.integers(min_value=0, max_value=2**40),
-    ), max_size=5))
+    @given(st.lists(TRACE_ROW_CELLS, max_size=5))
     def test_rows_survive_write_and_read(self, rows):
         t = RunTrace(solver="myhpo_bt", label="bt", seed=0)
         t.rows = [TraceRow(*cells) for cells in rows]

@@ -232,6 +232,16 @@ def test_bad_problem_values_exit_before_writing(tmp_path, capsys, old, new, reas
     assert not (tmp_path / "out").exists()
 
 
+def test_counts_past_a_synthetic_table_exit_before_writing(tmp_path, capsys):
+    text = CONFIG.format(out=tmp_path / "out").replace("problem.n = 24", "problem.n = 60")
+    bad = write_config(tmp_path, text + "problem.counts = 100,100,100\n")
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err == ("config error: problem.counts: split sizes "
+                                           "(100, 100, 100) exceed 60 rows\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _validate(path) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -251,7 +261,9 @@ def test_counts_echo_as_written(tmp_path):
        seed=st.integers(0, 2**31), budget=st.integers(2, 10**6),
        counts=st.none() | st.lists(st.integers(1, 10**4), min_size=3, max_size=3))
 def test_validate_echo_parses_back(names, labels, seed, budget, counts):
-    lines = ["problem.kind = synthetic", "problem.n = 30", "problem.d = 4",
+    # counts past the table's rows are a config error
+    n = 30 if counts is None else max(30, sum(counts))
+    lines = ["problem.kind = synthetic", f"problem.n = {n}", "problem.d = 4",
              f"budget_n_g = {budget}", f"seed = {seed}"]
     if counts is not None:
         lines.append("problem.counts = " + ",".join(map(str, counts)))

@@ -1,14 +1,19 @@
 """The block contract of ``trace.record_run``: rows are reported ``BLOCK`` at a
 time, the trace is cut at the first non-finite loss, and stop exceptions are
 handled only after the buffered rows. Every scripted scenario also runs with
-the blocks reported on a worker thread, which must give the same trace."""
+the blocks reported on a worker thread, which must give the same trace. Then
+the column store behind ``RunTrace.rows``: its size, and rows that are copies."""
 
 import math
+import os
+import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import myhpo.model
 import myhpo.moreau
@@ -25,7 +30,7 @@ from myhpo.model import (
 from myhpo.moreau import MyhpoConfig, MyhpoState, my_step_full, myhpo_run
 from myhpo.sho import ShoConfig, ShoState, sho_run
 from myhpo.trace import BLOCK, RunTrace, TraceRow, record_run
-from conftest import random_regression
+from conftest import TRACE_ROW_CELLS, random_regression
 
 SPEC = LossSpec("least_squares")
 STOPS = (SplitDegenerate,)
@@ -238,3 +243,77 @@ def test_an_eps_tol_stop_inside_a_block_reports_every_row():
         assert row.train_loss == pytest.approx(train_loss(SPEC, state.w, state.lam, train),
                                                rel=1e-12)
         assert row.val_loss == pytest.approx(val_loss(SPEC, state.w, val), rel=1e-12)
+
+
+def myhpo_row(i):
+    """Row ``i`` of a MY-HPO run: every column set but the test loss."""
+    return TraceRow(i, 2 * i, -1.0 + 1e-3 * i, 0.5 + 1e-4 * i, 0.25 + 1e-4 * i, None,
+                    1e-3 / i, 2e-3 / i, 0.1 * i, 6 * i)
+
+
+def test_a_trace_holds_a_row_in_at_most_100_bytes():
+    n = 10_000
+    tracemalloc.start()
+    try:
+        trace = RunTrace("myhpo_bt", "bt", 0)
+        for i in range(1, n + 1):
+            trace.append(myhpo_row(i))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.rows) == n and trace.rows[-1] == myhpo_row(n)
+    assert held / n <= 100
+
+
+@given(st.lists(TRACE_ROW_CELLS, max_size=6), st.integers(min_value=0, max_value=6))
+def test_rows_given_and_appended_read_back_exactly(cells, given_rows):
+    """The first ``given_rows`` rows go to the constructor, the rest to
+    ``append``, their ``n_grad`` made strictly increasing as it requires."""
+    rows, n_grad = [], 0
+    for iter_, step, *rest in cells:
+        n_grad += 1 + step
+        rows.append(TraceRow(iter_, n_grad, *rest))
+    trace = RunTrace("myhpo_bt", "bt", 0, rows=rows[:given_rows])
+    for row in rows[given_rows:]:
+        trace.append(row)
+    expected = [row.as_cells() for row in rows]
+    assert [row.as_cells() for row in trace.rows] == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.trace.csv")
+        trace.write_csv(path)
+        back = RunTrace.read_csv(path)
+    assert [row.as_cells() for row in back.rows] == expected
+
+
+def test_a_row_taken_from_a_trace_is_a_copy():
+    trace = RunTrace("myhpo_bt", "bt", 0, rows=[myhpo_row(1), myhpo_row(2)])
+    first = trace.rows[0]
+    first.lam, first.test_loss, first.r_norm = 7.0, 0.5, None
+    for row in trace.rows:
+        row.val_loss = math.nan
+    trace.rows[-1].n_grad = 0
+    assert trace.rows == [myhpo_row(1), myhpo_row(2)]
+    assert trace.final_finite_row() == myhpo_row(2)
+
+
+def test_append_checks_n_grad_after_rows_are_assigned():
+    trace = RunTrace("myhpo_bt", "bt", 0)
+    trace.rows = [myhpo_row(1), myhpo_row(3)]
+    for row in (myhpo_row(3), myhpo_row(2)):
+        with pytest.raises(ValueError, match="n_grad must be strictly increasing"):
+            trace.append(row)
+    trace.append(myhpo_row(4))
+    assert trace.rows == [myhpo_row(1), myhpo_row(3), myhpo_row(4)]
+
+
+def test_an_integer_past_64_bits_is_a_named_error(tmp_path):
+    trace = RunTrace("myhpo_bt", "bt", 0, rows=[myhpo_row(1), myhpo_row(2)])
+    with pytest.raises(ValueError, match="^loss_eval_count is outside the 64-bit integer range"):
+        trace.append(TraceRow(3, 6, 0.0, loss_eval_count=2**63))
+    assert trace.rows == [myhpo_row(1), myhpo_row(2)]  # no partial row
+    path = tmp_path / "t.trace.csv"
+    trace.write_csv(path)
+    path.write_text(path.read_text().replace("\n2,4,", f"\n2,{2**63},"))
+    with pytest.raises(ValueError, match=r"t\.trace\.csv: trace row 2: n_grad is outside the "
+                                         "64-bit integer range"):
+        RunTrace.read_csv(path)
