@@ -23,7 +23,6 @@ from .model import (
     NonFiniteIterate,
     SplitDegenerate,
     best_response,
-    grad_lambda_train,
     grad_lambda_val,
     grad_w_train,
     grad_w_val,
@@ -75,7 +74,6 @@ __all__ = [
     "TraceRow",
     "best_response",
     "check_stationarity",
-    "grad_lambda_train",
     "grad_lambda_val",
     "grad_w_train",
     "grad_w_val",

@@ -538,8 +538,8 @@ def summarize_traces(traces: list[RunTrace]) -> SummaryTable:
 
 
 # a summary value (x1e-2) of at least this magnitude prints in exponent notation,
-# so that no cell runs past about a hundred digits
-_FIXED_POINT_MAX = 1e100
+# so that a diverged run's cell stays as short as a converged one's
+_FIXED_POINT_MAX = 1e6
 
 
 def _fmt_cell(mean: float, std: float) -> str:
@@ -551,7 +551,7 @@ def _fmt_cell(mean: float, std: float) -> str:
 
 def render_summary(table: SummaryTable, fmt: str = "aligned-text") -> str:
     """Render the summary grid: solver columns, loss rows, values x 1e-2, in
-    exponent notation from a magnitude of ``_FIXED_POINT_MAX`` (1e100) on."""
+    exponent notation from a magnitude of ``_FIXED_POINT_MAX`` (1e6) on."""
     grid = [
         ["metric"] + [e.label for e in table.entries],
         ["train (x1e-2)"] + [_fmt_cell(e.train_mean, e.train_std) for e in table.entries],

@@ -152,6 +152,8 @@ def load_csv(path, target_column: str) -> RawTable:
                     ) from None
             feats.append([values[i] for i in feature_cols])
             targets.append(values[target_idx])
+    if not targets:
+        raise ParseError(f"{path}: no data rows after the header")
     return RawTable(np.array(feats, dtype=float), np.array(targets, dtype=float),
                     source=f"csv:{path}")
 

@@ -1,8 +1,9 @@
-"""Central finite-difference verification of every analytic gradient.
+"""Central finite-difference verification of every analytic derivative.
 
-The checks are loss-only: they evaluate the losses at perturbed points and
-never touch the analytic gradient code, so they stay an independent route.
-Runnable from the command line via the ``gradcheck`` subcommand.
+The gradient checks evaluate only losses at perturbed points, so they stay
+independent of the analytic code; the lam Newton curvature is checked against
+differences of the lam derivative that its merit check covers. Runnable from
+the command line via the ``gradcheck`` subcommand.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .model import (
     Dataset,
     LossSpec,
     best_response,
-    grad_lambda_train,
     grad_lambda_val,
     grad_w_train,
     grad_w_val,
@@ -25,6 +25,7 @@ from .model import (
     train_loss,
     val_loss,
 )
+from .moreau import _lam_curvature, _lam_direction
 
 H_W = 1e-5
 H_LAM = 1e-6
@@ -37,19 +38,17 @@ THRESHOLDS = {
     "val_w_logistic": 1e-4,
     "lam_chain_least_squares": 1e-5,
     "lam_chain_logistic": 1e-5,
-    "lam_regularizer": 1e-6,
+    "lam_merit_least_squares": 1e-6,
+    "lam_merit_logistic": 1e-6,
+    "lam_curvature_least_squares": 1e-6,
+    "lam_curvature_logistic": 1e-6,
 }
 
 
 def fd_grad_w(f, w: np.ndarray, h: float = H_W) -> np.ndarray:
     """Central differences of a scalar function of a vector."""
     w = np.asarray(w, dtype=float)
-    g = np.zeros_like(w)
-    for i in range(w.size):
-        e = np.zeros_like(w)
-        e[i] = h
-        g[i] = (f(w + e) - f(w - e)) / (2.0 * h)
-    return g
+    return np.array([(f(w + e) - f(w - e)) / (2.0 * h) for e in h * np.eye(w.size)])
 
 
 def fd_scalar(f, x: float, h: float = H_LAM) -> float:
@@ -84,47 +83,53 @@ def _random_instance(rng, kind: str, d_max: int, n_max: int):
     d = int(rng.integers(1, d_max + 1))
     n = int(rng.integers(1, n_max + 1))
     x = rng.standard_normal((n, d))
-    if kind == LOGISTIC:
-        y = rng.choice([-1.0, 1.0], size=n)
-    else:
-        y = rng.standard_normal(n)
-    return x, y, d, n
+    y = rng.choice([-1.0, 1.0], size=n) if kind == LOGISTIC else rng.standard_normal(n)
+    return Dataset(x, y, "train"), Dataset(x, y, "validation"), d
 
 
 def run_gradcheck(n_instances: int = 120, seed: int = 0,
                   d_max: int = 20, n_max: int = 50) -> GradcheckReport:
-    """Compare every analytic gradient against central differences on
+    """Compare every analytic derivative against central differences on
     instances that alternate the two losses, so at least two are needed."""
     if n_instances < 2:
         raise ValueError(f"gradcheck needs at least 2 instances (one per loss), got {n_instances}")
     rng = np.random.default_rng(seed)
     errors = {key: 0.0 for key in THRESHOLDS}
 
+    def check(key, analytic, numeric):
+        errors[key] = max(errors[key], _rel_err(analytic, numeric))
+
     for i in range(n_instances):
         kind = LEAST_SQUARES if i % 2 == 0 else LOGISTIC
         spec = LossSpec(kind)
-        x, y, d, n = _random_instance(rng, kind, d_max, n_max)
-        train = Dataset(x, y, "train")
-        val = Dataset(x, y, "validation")
+        train, val, d = _random_instance(rng, kind, d_max, n_max)
         w = rng.standard_normal(d)
         lam = float(rng.uniform(-3.0, 1.5))
 
-        g = grad_w_train(spec, w, lam, train)
-        fd = fd_grad_w(lambda z: train_loss(spec, z, lam, train), w)
-        errors[f"train_w_{kind}"] = max(errors[f"train_w_{kind}"], _rel_err(g, fd))
+        check(f"train_w_{kind}", grad_w_train(spec, w, lam, train),
+              fd_grad_w(lambda z: train_loss(spec, z, lam, train), w))
+        check(f"val_w_{kind}", grad_w_val(spec, w, val),
+              fd_grad_w(lambda z: val_loss(spec, z, val), w))
 
-        g = grad_w_val(spec, w, val)
-        fd = fd_grad_w(lambda z: val_loss(spec, z, val), w)
-        errors[f"val_w_{kind}"] = max(errors[f"val_w_{kind}"], _rel_err(g, fd))
-
-        br = split_best_response(w, lam) if abs(lam) > 1e-6 else split_best_response(w, 1.0)
         lam_for_br = lam if abs(lam) > 1e-6 else 1.0
-        g_lam = grad_lambda_val(spec, br, lam_for_br, val)
-        fd_lam = fd_scalar(lambda t: val_loss(spec, best_response(br, t), val), lam_for_br)
-        errors[f"lam_chain_{kind}"] = max(errors[f"lam_chain_{kind}"], _rel_err(g_lam, fd_lam))
+        br = split_best_response(w, lam_for_br)
+        check(f"lam_chain_{kind}", grad_lambda_val(spec, br, lam_for_br, val),
+              fd_scalar(lambda t: val_loss(spec, best_response(br, t), val), lam_for_br))
 
-        g_reg = grad_lambda_train(w, lam)
-        fd_reg = fd_scalar(lambda t: train_loss(spec, w, t, train), lam)
-        errors["lam_regularizer"] = max(errors["lam_regularizer"], _rel_err(g_reg, fd_reg))
+        # the lam block's merit val_loss(G(t)) + u.(w - G(t)) + (rho/2)||w - G(t)||^2
+        w_c, u, rho = rng.standard_normal(d), rng.standard_normal(d), float(rng.uniform(0, 2))
+
+        def merit(t):
+            gw = best_response(br, t)
+            return val_loss(spec, gw, val) + u @ (w_c - gw) + 0.5 * rho * (w_c - gw) @ (w_c - gw)
+
+        def direction(t):
+            gw = best_response(br, t)
+            return _lam_direction(spec, br, t, w_c, u, rho, val, gw, val.X @ gw)
+
+        check(f"lam_merit_{kind}", direction(lam_for_br), fd_scalar(merit, lam_for_br))
+        z = val.X @ best_response(br, lam_for_br)
+        check(f"lam_curvature_{kind}", _lam_curvature(spec, br, rho, val, z, val.X @ br.phi1),
+              fd_scalar(direction, lam_for_br))
 
     return GradcheckReport(instances=n_instances, max_errors=errors)

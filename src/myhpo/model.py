@@ -361,9 +361,3 @@ def grad_lambda_val(spec: LossSpec, br: BestResponse, lam: float, data: Dataset)
     _require_role(data, ("validation",))
     w = best_response(br, lam)
     return float(br.phi1 @ grad_w_val(spec, w, data))
-
-
-def grad_lambda_train(w: np.ndarray, lam: float) -> float:
-    """Derivative of the regularizer ``exp(lam) * ||w||^2`` in ``lam``."""
-    w = np.asarray(w, dtype=float)
-    return _exp(lam) * float(w @ w)

@@ -130,7 +130,6 @@ class MyhpoConfig:
     max_halvings: int = 30
     inner_tol: float = 1e-8
     inner_max_iters: int = 500
-    fresh_w_gradient: bool = False  # simplified variants: fresh training gradient at w
 
     def __post_init__(self):
         if self.rho < 0:
@@ -151,7 +150,7 @@ class MyhpoConfig:
 UNREAD_FIELDS = {
     "myhpo_c": ("max_halvings", "inner_tol", "inner_max_iters"),
     "myhpo_bt": ("inner_tol", "inner_max_iters"),
-    "myhpo_full": ("alpha", "beta", "max_halvings", "fresh_w_gradient"),
+    "myhpo_full": ("alpha", "beta", "max_halvings"),
 }
 
 
@@ -236,11 +235,8 @@ def _advance(state, v_new, w_new, lam_new, br, rho, grads, outcomes=None, carrie
 
 def _step_cost(cfg: MyhpoConfig) -> int:
     """Gradients a step needs. A simplified step spends exactly this: training
-    and validation, plus a fresh training gradient at ``w`` with
-    ``fresh_w_gradient``. A full step spends at least one and stops at its cap."""
-    if cfg.variant == "full":
-        return 1
-    return 2 + (1 if cfg.fresh_w_gradient else 0)
+    and validation. A full step spends at least one and stops at its cap."""
+    return 1 if cfg.variant == "full" else 2
 
 
 def _augmented(f: float, u: np.ndarray, rho: float, slack: np.ndarray) -> float:
@@ -253,6 +249,11 @@ def _lam_direction(spec, br, lam, w_new, u, rho, val, gw, z) -> float:
     ``gw = G(lam)`` and ``z = val.X @ gw``: one d-dimensional validation gradient."""
     df = float(br.phi1 @ _fit_grad(spec, z, val))
     return df - float(u @ br.phi1) - rho * float(br.phi1 @ (w_new - gw))
+
+
+def _lam_curvature(spec, br, rho, val, z, xp) -> float:
+    """Second lam derivative of that objective, from ``z`` and ``xp = val.X @ phi1``."""
+    return _fit_curvature(spec, z, xp, val) + rho * float(br.phi1 @ br.phi1)
 
 
 def _backtrack(x0, direction, step0: float, merit, max_halvings: int):
@@ -313,7 +314,7 @@ def _simplified_step(state, spec, train, val, cfg, line_search):
     Merit functions are block-coordinate: the v block uses the training
     loss, the w block the augmented training objective, the lam block the
     augmented validation objective. The w block reuses the step-1 training
-    gradient unless ``cfg.fresh_w_gradient`` asks for a fresh one at ``w``.
+    gradient.
     Each point's ``X @ x`` is taken once (see Variants), bit for bit the
     value the public model functions would compute.
     """
@@ -329,12 +330,10 @@ def _simplified_step(state, spec, train, val, cfg, line_search):
     br = split_best_response(v_new, lam)
     gw_old = best_response(br, lam)
 
-    g_for_w = _grad_w_train(spec, *xt(state.w), lam, train) if cfg.fresh_w_gradient else g_t
-
     def w_merit(x):
         return _augmented(loss_t(x), u, rho, x - gw_old)
 
-    w_dir = g_for_w + u + rho * (state.w - gw_old)
+    w_dir = g_t + u + rho * (state.w - gw_old)
     w_new, out_w = line_search(state.w, w_dir, cfg.beta, w_merit, cfg.max_halvings)
 
     def lam_merit(t):  # at lam itself, G(lam) is gw_old, whose product the derivative took
@@ -452,9 +451,7 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
         if newton:
             if ledger.exhausted:
                 return lam
-            # second derivative in lam of the augmented validation objective
-            curv = (_fit_curvature(spec, z, xv(br.phi1)[1], val)
-                    + rho * float(br.phi1 @ br.phi1))
+            curv = _lam_curvature(spec, br, rho, val, z, xv(br.phi1)[1])
             ledger.spend(1)
             cand = lam - g / curv if curv > 1e-300 else math.nan
             newton = math.isfinite(cand)

@@ -77,8 +77,9 @@ UNREAD_VALUES = [
     ("myhpo_c", "inner_max_iters", "3"), ("myhpo_bt", "inner_tol", "1e-3"),
     ("myhpo_bt", "inner_max_iters", "3"), ("myhpo_full", "alpha", "0.7"),
     ("myhpo_full", "beta", "0.7"), ("myhpo_full", "max_halvings", "5"),
-    ("myhpo_full", "fresh_w_gradient", "true"),
 ]
+# a field MyhpoConfig no longer has: an unknown key like any other
+REMOVED_FIELD = ("myhpo_full", "fresh_w_gradient", "true")
 COUNTS = MINIMAL + "problem.counts = 12,6,6\n"
 
 
@@ -180,13 +181,14 @@ class TestParseConfig:
         (COUNTS + "problem.train_fraction = 0.4\n", "problem.train_fraction"),
         (COUNTS + "problem.val_fraction = 0.3\n", "problem.val_fraction"),
     ] + [(MINIMAL.replace("myhpo_bt", name) + f"solver[0].{key} = {value}\n", f"solver[0].{key}")
-         for name, key, value in UNREAD_VALUES],
+         for name, key, value in UNREAD_VALUES + [REMOVED_FIELD]],
         ids=["no-equals", "duplicate-key", "bad-bool", "solver-key-shape", "unknown-key",
              "budget-required", "repetitions-zero", "kind-required", "unknown-kind",
              "unknown-loss", "class-pair-half", "logistic-without-classes", "counts-arity",
              "no-solver", "solver-name-required", "synthetic-path", "csv-kappa", "idx-n",
              "synthetic-classes", "synthetic-stratified", "counts-train-fraction",
-             "counts-val-fraction"] + [f"{name}-{key}" for name, key, _ in UNREAD_VALUES])
+             "counts-val-fraction"] + [f"{name}-{key}"
+                                       for name, key, _ in UNREAD_VALUES + [REMOVED_FIELD]])
     def test_config_errors_name_their_key(self, text, key):
         with pytest.raises(SchemaError) as err:
             parse_config_text(text)
@@ -227,13 +229,14 @@ class TestParseConfig:
         assert cfg.config_hash == parse_config_text(MINIMAL + "seed = 7\n").config_hash
 
     def test_solver_params_are_config_fields(self):
-        cfg = parse_config_text(MINIMAL + "solver[1].name = myhpo_bt\nsolver[1].label = fresh\n"
-                                "solver[1].fresh_w_gradient = yes\nsolver[1].max_iters = 7\n")
+        cfg = parse_config_text(MINIMAL + "solver[1].name = myhpo_bt\nsolver[1].label = bt\n"
+                                "solver[1].max_iters = 7\n")
         params = cfg.solvers[1].params
-        assert params["fresh_w_gradient"] is True
         assert params["max_iters"] == 7
         assert isinstance(params["max_halvings"], int)
         assert "variant" not in params and "seed" not in params
+        # no solver field is a bool; the one bool key left is a problem key
+        assert parse_config_text(CSV + "problem.stratified = yes\n").problem["stratified"] is True
 
 
 class TestRunExperiment:
@@ -469,6 +472,20 @@ class TestSummaries:
         assert grid[1:4] == ["train (x1e-2),2.00e+152 ± 1.41e+152",
                              "val (x1e-2),1.00e+152 ± 7.07e+151",
                              "test (x1e-2),5.00e+151 ± 3.54e+151"]
+
+    def test_diverged_finals_print_in_exponent_notation(self):
+        """Values from 1e6 (x1e-2) on print as ``.2e``; values below keep ``.2f``."""
+        traces = []
+        for rep, loss in enumerate((1e10, 3e10)):
+            t = RunTrace(solver="sho", label="s", seed=rep,
+                         meta={"loss": "logistic", "repetition": rep})
+            t.append(TraceRow(iter=1, n_grad=2, lam=-1.0, train_loss=loss,
+                              val_loss=9999.0, test_loss=1e4))
+            traces.append(t)
+        grid = render_summary(summarize_traces(traces), "csv").splitlines()
+        assert grid[1:4] == ["train (x1e-2),2.00e+12 ± 1.41e+12",
+                             "val (x1e-2),999900.00 ± 0.00",
+                             "test (x1e-2),1.00e+06 ± 0.00"]
 
     def test_render_alignment(self):
         entry = bench.SolverSummary("a", "sho", 1, 0.01, 0.0, 0.02, 0.0, 0.03, 0.0, 10.0, 0)

@@ -121,6 +121,16 @@ def test_a_run_that_fails_on_its_data_writes_nothing(tmp_path, capsys, data_file
     assert not (tmp_path / "out").exists()
 
 
+def test_header_only_csv_exits_before_writing(tmp_path, capsys):
+    data = tmp_path / "header.csv"
+    data.write_text("x0,x1,y\n")
+    text = (f"problem.kind = csv\nproblem.path = {data}\nproblem.target = y\n"
+            f"budget_n_g = 10\noutput_dir = {tmp_path / 'out'}\nsolver[0].name = sho\n")
+    assert main(["run", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err == f"config error: {data}: no data rows after the header\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_truncated_trace_exit_code(tmp_path, capsys):
     main(["run", str(write_config(tmp_path))])
     capsys.readouterr()
@@ -162,7 +172,7 @@ def test_bad_solver_params_exit_before_writing(tmp_path, capsys, name, param):
         ("myhpo_c", "inner_max_iters", "3"), ("myhpo_bt", "inner_tol", "1e-3"),
         ("myhpo_bt", "inner_max_iters", "3"), ("myhpo_full", "alpha", "0.7"),
         ("myhpo_full", "beta", "0.7"), ("myhpo_full", "max_halvings", "5"),
-        ("myhpo_full", "fresh_w_gradient", "true"),
+        ("myhpo_full", "fresh_w_gradient", "true"),  # a removed field: an unknown key
     ]
 ] + [
     pytest.param("problem.stratified = true", "problem.stratified", id="synthetic-stratified"),

@@ -14,7 +14,6 @@ from myhpo.model import (
     _expit,
     _fit_curvature,
     best_response,
-    grad_lambda_train,
     grad_lambda_val,
     grad_w_train,
     grad_w_val,
@@ -222,10 +221,6 @@ class TestGradients:
         with pytest.raises(ValueError):
             grad_lambda_val(ls_spec, br, 0.0, train)
 
-    def test_grad_lambda_train_values(self):
-        assert grad_lambda_train(np.zeros(3), 1.7) == 0.0
-        assert grad_lambda_train(np.array([1.0, 1.0]), 0.0) == 2.0
-
     def test_finite_difference_agreement(self, ls_spec, logit_spec):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -250,10 +245,6 @@ class TestGradients:
             g_lam = grad_lambda_val(ls_spec, br, lam_b, vdata)
             fd_lam = fd_scalar(lambda t: val_loss(ls_spec, best_response(br, t), vdata), lam_b)
             assert abs(g_lam - fd_lam) <= 1e-5 * max(abs(fd_lam), 1e-8)
-
-            g_reg = grad_lambda_train(w, lam)
-            fd_reg = fd_scalar(lambda t: train_loss(ls_spec, w, t, reg), lam)
-            assert abs(g_reg - fd_reg) <= 1e-6 * max(abs(fd_reg), 1e-8)
 
 
 class TestSpectralSolve:

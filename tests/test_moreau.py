@@ -170,12 +170,6 @@ class TestSimplifiedStep:
             assert abs(state.lam - lam_ref) <= 1e-12
             assert np.array_equal(state.u, np.zeros(3))
 
-    def test_fresh_w_gradient_costs_extra(self, ls_spec):
-        train, val = one_d_sets()
-        cfg = MyhpoConfig(fresh_w_gradient=True)
-        state, _ = my_step_simplified(MyhpoState.initial(1), ls_spec, train, val, cfg)
-        assert state.grad_count == 3
-
     def test_nonfinite_raises(self, ls_spec):
         train, val = one_d_sets()
         cfg = MyhpoConfig(alpha=1e300, beta=1e300, delta=1.0)
@@ -487,8 +481,7 @@ def reference_step(state, spec, train, val, cfg, backtracking):
     v1, out_v = search(v, g_t, cfg.alpha, lambda x: train_loss(spec, x, lam, train))
     br = split_best_response(v1, lam)
     gw_old = best_response(br, lam)
-    g_w = grad_w_train(spec, w, lam, train) if cfg.fresh_w_gradient else g_t
-    w1, out_w = search(w, g_w + u + rho * (w - gw_old), cfg.beta,
+    w1, out_w = search(w, g_t + u + rho * (w - gw_old), cfg.beta,
                        lambda x: augmented(train_loss(spec, x, lam, train), x - gw_old))
     lam_dir = (grad_lambda_val(spec, br, lam, val) - float(u @ br.phi1)
                - rho * float(br.phi1 @ (w1 - best_response(br, lam))))
@@ -531,7 +524,6 @@ class TestProductReuse:
         "least_squares": dict(delta=0.1),
         "logistic": dict(delta=0.1),
         "zero-direction": dict(delta=0.1),
-        "fresh-w-gradient": dict(delta=0.1, fresh_w_gradient=True),
         "halving-least_squares": dict(alpha=2.0, beta=2.0, delta=20.0),
         "halving-logistic": dict(alpha=2.0, beta=2.0, delta=20.0),
         "stalled": dict(alpha=2.0, beta=2.0, delta=20.0, max_halvings=1),
@@ -539,8 +531,7 @@ class TestProductReuse:
 
     @pytest.mark.parametrize("backtracking,case", [
         *((True, case) for case in CASES),
-        *((False, case) for case in ("least_squares", "logistic", "zero-direction",
-                                     "fresh-w-gradient")),
+        *((False, case) for case in ("least_squares", "logistic", "zero-direction")),
     ])
     def test_matches_the_reference_step_bit_for_bit(self, case, backtracking):
         """200 steps from the initial state, each compared with the reference
@@ -570,7 +561,7 @@ class TestProductReuse:
                 kinds |= {"stalled" if o[4] else "zero" if o[3] == 0 else
                           "halved" if o[3] > 2 else "first-try" for o in outcomes}
             assert state.loss_eval_count == evals
-        assert state.grad_count == 200 * (3 if cfg.fresh_w_gradient else 2)
+        assert state.grad_count == 200 * 2
         expected = {"stalled": "stalled", "zero-direction": "zero",
                     "halving-least_squares": "halved", "halving-logistic": "halved"}
         if backtracking and case in expected:
@@ -681,7 +672,7 @@ class TestFixedPoint:
 # a non-default value of each field in UNREAD_FIELDS; each one changes the
 # 30 x 6 logistic run below of a variant that reads the field
 NON_DEFAULT = {"alpha": 0.7, "beta": 0.9, "max_halvings": 1, "inner_tol": 1e-2,
-               "inner_max_iters": 2, "fresh_w_gradient": True}
+               "inner_max_iters": 2}
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])

@@ -38,7 +38,7 @@ def test_validate_stability_config(tmp_path):
     assert "solver[3].name = myhpo_bt" in lines
     assert "solver[4].n_t = 1000" in lines
     # the hash covers every resolved default
-    assert lines[-1] == "config_hash = 11f7b391b5ec"
+    assert lines[-1] == "config_hash = f317f4108287"
 
 
 def test_run_stability_config(tmp_path):

@@ -44,6 +44,16 @@ parameters among them), row count and ledger cells (``iter``, ``n_grad``,
 relative difference in each other column, with the trace and row where it
 occurs. It exits 1 when anything required differs or a command exits
 non-zero on either side.
+
+A change that alters trace headers on purpose names the keys it alters::
+
+    python3 tools/byte_gate.py --compare ../parent/src src \
+        --header-changes meta.config_hash,meta.some_field
+
+Header lines under a listed key (``# meta.config_hash = ...``) may then
+differ, or exist on one side only; every other header line must still
+match. Per group, the mode prints how many traces differ under each listed
+key.
 """
 
 from __future__ import annotations
@@ -86,9 +96,8 @@ solver[7].label = degenerate
 solver[7].lambda0 = 0
 """
 
-# the full variant plain and decoupled (rho = 0), a fresh w gradient on both
-# simplified variants, diverging runs, diverging search candidates and a
-# halving myhpo_bt
+# the full variant plain and decoupled (rho = 0), diverging runs, diverging
+# search candidates and a halving myhpo_bt
 LEAST_SQUARES = """\
 problem.kind = synthetic
 problem.n = 40
@@ -99,32 +108,26 @@ repetitions = 2
 seed = 5
 output_dir = out
 solver[0].name = myhpo_full
-solver[1].name = myhpo_bt
-solver[1].label = bt-fresh
-solver[1].fresh_w_gradient = true
-solver[2].name = myhpo_full
-solver[2].label = full-rho0
-solver[2].rho = 0
+solver[1].name = myhpo_full
+solver[1].label = full-rho0
+solver[1].rho = 0
+solver[2].name = sho
+solver[2].label = sho-diverge
+solver[2].alpha = 50
+solver[2].beta = 50
 solver[3].name = myhpo_c
-solver[3].label = c-fresh
-solver[3].fresh_w_gradient = true
-solver[4].name = sho
-solver[4].label = sho-diverge
-solver[4].alpha = 50
-solver[4].beta = 50
-solver[5].name = myhpo_c
-solver[5].label = c-diverge
-solver[5].alpha = 50
-solver[5].beta = 50
-solver[5].delta = 50
-solver[6].name = random
-solver[6].n_s = 4
-solver[6].alpha_train = 100
-solver[7].name = myhpo_bt
-solver[7].label = bt-halving
-solver[7].alpha = 2
-solver[7].beta = 2
-solver[7].delta = 20
+solver[3].label = c-diverge
+solver[3].alpha = 50
+solver[3].beta = 50
+solver[3].delta = 50
+solver[4].name = random
+solver[4].n_s = 4
+solver[4].alpha_train = 100
+solver[5].name = myhpo_bt
+solver[5].label = bt-halving
+solver[5].alpha = 2
+solver[5].beta = 2
+solver[5].delta = 20
 """
 
 
@@ -264,9 +267,16 @@ def _relative(a: str, b: str) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
-def _compare_group(name: str, parent: str, src: str, files: dict[str, str]) -> list[str]:
-    """Run the group on both sides; print its per-column drift and return
-    what differs where it must not."""
+def _header_key(line: str) -> str:
+    """The key of a trace header line: ``meta.budget`` of ``# meta.budget = 200``."""
+    return line[2:].partition(" = ")[0]
+
+
+def _compare_group(name: str, parent: str, src: str, files: dict[str, str],
+                   header_keys: tuple[str, ...]) -> list[str]:
+    """Run the group on both sides; print its per-column drift and the traces
+    whose header lines under each of ``header_keys`` differ, and return what
+    differs where it must not."""
     runs = _cli_runs(files)
     with tempfile.TemporaryDirectory() as work_a, tempfile.TemporaryDirectory() as work_b:
         caps_a, caps_b = _run(parent, files, runs, work_a), _run(src, files, runs, work_b)
@@ -278,8 +288,14 @@ def _compare_group(name: str, parent: str, src: str, files: dict[str, str]) -> l
     if traces_a.keys() != traces_b.keys():
         problems.append(f"{name}: trace files differ: {sorted(traces_a.keys() ^ traces_b.keys())}")
     drift: dict[str, tuple[float, str]] = {}
+    changed = dict.fromkeys(header_keys, 0)
     for path in sorted(traces_a.keys() & traces_b.keys()):
         (head_a, cols, rows_a), (head_b, cols_b, rows_b) = traces_a[path], traces_b[path]
+        for key in header_keys:
+            changed[key] += ([line for line in head_a if _header_key(line) == key]
+                             != [line for line in head_b if _header_key(line) == key])
+        head_a, head_b = ([line for line in head if _header_key(line) not in header_keys]
+                          for head in (head_a, head_b))
         if (head_a, cols, len(rows_a)) != (head_b, cols_b, len(rows_b)):
             problems.append(f"{name}: {path}: header, columns or row count differ")
             continue
@@ -293,14 +309,17 @@ def _compare_group(name: str, parent: str, src: str, files: dict[str, str]) -> l
     print(f"{name}: {len(traces_a)} traces, {sum(len(t[2]) for t in traces_a.values())} rows")
     for col, (rel, where) in drift.items():
         print(f"  {col:<16} max relative difference {rel:.3g}" + (f"  ({where})" if rel else ""))
+    for key, count in changed.items():
+        print(f"  header {key} differs in {count} traces")
     return problems
 
 
-def compare(parent: str, src: str) -> int:
-    """Compare mode: exit 0 when only the numeric columns moved, else 1."""
+def compare(parent: str, src: str, header_keys: tuple[str, ...]) -> int:
+    """Compare mode: exit 0 when only the numeric columns and the header
+    lines under ``header_keys`` moved, else 1."""
     problems = []
     for name, files in _cli_groups().items():
-        problems += _compare_group(name, parent, src, files)
+        problems += _compare_group(name, parent, src, files, header_keys)
     for problem in problems[:20]:
         print(f"DIFFERS {problem}")
     if len(problems) > 20:
@@ -311,8 +330,11 @@ def compare(parent: str, src: str) -> int:
 
 
 def main(argv: list[str]) -> int:
+    header_keys: tuple[str, ...] = ()
+    if len(argv) == 5 and argv[3] == "--header-changes":
+        argv, header_keys = argv[:3], tuple(argv[4].split(","))
     if len(argv) == 3 and argv[0] == "--compare":
-        return compare(os.path.abspath(argv[1]), os.path.abspath(argv[2]))
+        return compare(os.path.abspath(argv[1]), os.path.abspath(argv[2]), header_keys)
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
