@@ -34,6 +34,13 @@ state. The data-fit kernels ``_fit_loss``, ``_fit_grad`` and
 caller that already holds a point's product does not take it again; each
 public function takes ``data.X @ w`` once per call.
 
+Each public function checks its split's role and its point's shape on
+every call, then runs the unchecked kernels: the ``_fit_*`` ones, and
+``_train_loss`` and ``_grad_w_train``, which take ``exp_lam = _exp(lam)``.
+The solver steps and ``search.train_model`` run the same kernels and check
+once per step or run: the roles when they bind a split, the shapes of the
+points they are given, never per product.
+
 Products are kept in two places. A split memoizes products of its own
 ``X`` and ``y`` (``gram``, ``xty``, ``gram_norm`` and the spectrum of
 ``gram``) on first use; the spectrum turns every shifted solve
@@ -83,7 +90,7 @@ class Dataset:
     """Feature matrix plus targets for one split.
 
     ``y`` holds real targets for regression and exactly -1/+1 for
-    classification. ``role`` is one of ``train``, ``validation``, ``test``
+    classification; ``n`` and ``d`` are ``X``'s row and column counts. ``role`` is one of ``train``, ``validation``, ``test``
     and is checked by the loss functions so a split cannot be fed to the
     wrong objective by accident. ``gram``, ``xty``, ``gram_norm`` and
     ``spectrum`` are the products the exact solves reuse, memoized on
@@ -111,14 +118,8 @@ class Dataset:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
             raise ValueError("dataset contains NaN or Inf entries")
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
+        # plain attributes, not properties: the loss kernels read them on every call
+        self.n, self.d = self.X.shape
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -180,6 +181,13 @@ class BestResponse:
                 f"phi1 has length {self.phi1.shape[0]} but phi0 has {self.phi0.shape[0]}"
             )
 
+    @classmethod
+    def _of(cls, phi1: np.ndarray, phi0: np.ndarray) -> "BestResponse":
+        """A best response from two float vectors of one length, without the checks."""
+        br = object.__new__(cls)
+        br.phi1, br.phi0 = phi1, phi0
+        return br
+
 
 def best_response(br: BestResponse, lam: float) -> np.ndarray:
     """Evaluate the hypernetwork: ``lam * phi1 + phi0``."""
@@ -199,10 +207,12 @@ def split_best_response(v: np.ndarray, lam: float) -> BestResponse:
     if abs(lam) <= SPLIT_FLOOR:
         raise SplitDegenerate(f"|lam|={abs(lam):.3e} <= {SPLIT_FLOOR:.0e}")
     v = np.asarray(v, dtype=float)
-    mean = float(v.mean())
-    phi0 = np.full_like(v, mean)
-    phi1 = (v - mean) / lam
-    return BestResponse(phi1=phi1, phi0=phi0)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"v must be 1-d, got ndim={v.ndim}")
+    mean = float(v.sum() / v.size)  # what v.mean() computes
+    phi0 = np.empty_like(v)
+    phi0.fill(mean)
+    return BestResponse._of((v - mean) / lam, phi0)
 
 
 def _require_role(data: Dataset, roles: tuple[str, ...]):
@@ -220,8 +230,9 @@ def _exp(lam: float) -> float:
 
 
 def require_finite(iteration: int, lam: float, *arrays: np.ndarray):
-    """Raise NonFiniteIterate unless ``lam`` and every array are finite."""
-    if not (math.isfinite(lam) and all(np.all(np.isfinite(a)) for a in arrays)):
+    """Raise NonFiniteIterate unless ``lam`` and every array are finite: entry by
+    entry, never by a norm or a sum, which overflow on finite entries."""
+    if not (math.isfinite(lam) and all(np.isfinite(a).all() for a in arrays)):
         raise NonFiniteIterate(f"non-finite iterate at iteration {iteration}")
 
 
@@ -254,15 +265,16 @@ def _fit_grad(spec: LossSpec, z: np.ndarray, data: Dataset) -> np.ndarray:
     return -(data.X.T @ (data.y * _expit(-(data.y * z)))) / data.n
 
 
-def _train_loss(spec: LossSpec, w: np.ndarray, z: np.ndarray, lam: float, data: Dataset) -> float:
-    """``train_loss`` at ``w`` from its product ``z = data.X @ w``, unchecked."""
-    return _fit_loss(spec, z, data) + _exp(lam) * float(w @ w)
+def _train_loss(spec: LossSpec, w: np.ndarray, z: np.ndarray, exp_lam: float,
+                data: Dataset) -> float:
+    """``train_loss`` from ``z = data.X @ w`` and ``exp_lam = _exp(lam)``, unchecked."""
+    return _fit_loss(spec, z, data) + exp_lam * float(w @ w)
 
 
-def _grad_w_train(spec: LossSpec, w: np.ndarray, z: np.ndarray, lam: float,
+def _grad_w_train(spec: LossSpec, w: np.ndarray, z: np.ndarray, exp_lam: float,
                   data: Dataset) -> np.ndarray:
-    """``grad_w_train`` at ``w`` from its product ``z = data.X @ w``, unchecked."""
-    return _fit_grad(spec, z, data) + 2.0 * _exp(lam) * w
+    """``grad_w_train`` from ``z = data.X @ w`` and ``exp_lam = _exp(lam)``, unchecked."""
+    return _fit_grad(spec, z, data) + 2.0 * exp_lam * w
 
 
 def _fit_curvature(spec: LossSpec, z: np.ndarray, xp: np.ndarray, data: Dataset) -> float:
@@ -278,7 +290,7 @@ def train_loss(spec: LossSpec, w: np.ndarray, lam: float, data: Dataset) -> floa
     """Regularized training objective ``L_T(w, lam)`` on the train split."""
     _require_role(data, ("train",))
     w = _check_w(w, data)
-    return _train_loss(spec, w, data.X @ w, lam, data)
+    return _train_loss(spec, w, data.X @ w, _exp(lam), data)
 
 
 def val_loss(spec: LossSpec, w: np.ndarray, data: Dataset) -> float:
@@ -343,7 +355,7 @@ def grad_w_train(spec: LossSpec, w: np.ndarray, lam: float, data: Dataset) -> np
     """Gradient of ``train_loss`` with respect to ``w``."""
     _require_role(data, ("train",))
     w = _check_w(w, data)
-    return _grad_w_train(spec, w, data.X @ w, lam, data)
+    return _grad_w_train(spec, w, data.X @ w, _exp(lam), data)
 
 
 def grad_w_val(spec: LossSpec, w: np.ndarray, data: Dataset) -> np.ndarray:

@@ -195,8 +195,13 @@ class Residuals:
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
         self.s = np.asarray(self.s, dtype=float)
-        self.r_norm = float(np.linalg.norm(self.r))
-        self.s_norm = float(np.linalg.norm(self.s))
+        self.r_norm = _norm(self.r)
+        self.s_norm = _norm(self.s)
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float vector, bit for bit: numpy takes ``sqrt(x.dot(x))``."""
+    return math.sqrt(x.dot(x))
 
 
 def residuals(state_new: MyhpoState, lambda_old: float, rho: float) -> Residuals:
@@ -259,11 +264,11 @@ def _lam_curvature(spec, br, rho, val, z, xp) -> float:
 def _backtrack(x0, direction, step0: float, merit, max_halvings: int):
     """Halve the step until ``merit(x0 - t * direction)`` strictly decreases.
 
-    A zero direction is already stationary for the block and returns
-    immediately without evaluating the merit. If no halving produces a
-    decrease the block stalls and ``x0`` is kept.
+    A zero direction (a NaN one is not zero) is already stationary for the
+    block and returns immediately without evaluating the merit. If no
+    halving produces a decrease the block stalls and ``x0`` is kept.
     """
-    if not np.any(direction):
+    if not (direction.any() if isinstance(direction, np.ndarray) else direction):
         return x0, BlockOutcome(step=None, merit_before=math.nan, merit_after=math.nan,
                                 evals=0, stalled=False)
     m0 = merit(x0)
@@ -289,22 +294,24 @@ def _constant(x0, direction, step0: float, merit, max_halvings: int):
 class _Products:
     """``data.X @ x`` for each point a step evaluates, taken once per point.
 
-    Points are keyed by identity, starting from the ``carried`` (point,
-    product) pairs, so an equal but distinct array gets its own product.
-    Every lookup repeats the public model functions' role and shape checks.
+    The split's role is checked once, when it is bound. Points are keyed by
+    identity, starting from the ``carried`` (point, product) pairs, so an
+    equal but distinct array gets its own product. A lookup checks nothing:
+    the step checks the points it is given (``_check_w``), and every point
+    it makes from them is a float vector of their length.
     """
 
     def __init__(self, data: Dataset, roles: tuple[str, ...], carried=()):
-        self.data, self.roles = data, roles
+        _require_role(data, roles)
+        self.X = data.X
         self.known = {id(x): (x, z) for x, z in carried}
 
-    def __call__(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, data.X @ x)``, with ``x`` as the shape check returns it."""
-        _require_role(self.data, self.roles)
-        x = _check_w(x, self.data)
-        pair = self.known.get(id(x))
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, data.X @ x)``."""
+        key = id(x)
+        pair = self.known.get(key)
         if pair is None:
-            pair = self.known[id(x)] = (x, self.data.X @ x)
+            pair = self.known[key] = (x, self.X @ x)
         return pair
 
 
@@ -316,25 +323,29 @@ def _simplified_step(state, spec, train, val, cfg, line_search):
     augmented validation objective. The w block reuses the step-1 training
     gradient.
     Each point's ``X @ x`` is taken once (see Variants), bit for bit the
-    value the public model functions would compute.
+    value the public model functions would compute. The splits' roles and
+    the points' shapes are checked once per step, never per product; the
+    caller's state is read, never changed.
     """
     lam, u, rho = state.lam, state.u, cfg.rho
     xt = _Products(train, ("train",), state._carried)
     xv = _Products(val, ("validation",))
+    v, w = _check_w(state.v, train), _check_w(state.w, train)
+    exp_lam = _exp(lam)
 
     def loss_t(x):
-        return _train_loss(spec, *xt(x), lam, train)
+        return _train_loss(spec, *xt(x), exp_lam, train)
 
-    g_t = _grad_w_train(spec, *xt(state.v), lam, train)
-    v_new, out_v = line_search(state.v, g_t, cfg.alpha, loss_t, cfg.max_halvings)
+    g_t = _grad_w_train(spec, *xt(v), exp_lam, train)
+    v_new, out_v = line_search(v, g_t, cfg.alpha, loss_t, cfg.max_halvings)
     br = split_best_response(v_new, lam)
-    gw_old = best_response(br, lam)
+    gw_old = _check_w(best_response(br, lam), val)  # the validation points' one check
 
     def w_merit(x):
         return _augmented(loss_t(x), u, rho, x - gw_old)
 
-    w_dir = g_t + u + rho * (state.w - gw_old)
-    w_new, out_w = line_search(state.w, w_dir, cfg.beta, w_merit, cfg.max_halvings)
+    w_dir = g_t + u + rho * (w - gw_old)
+    w_new, out_w = line_search(w, w_dir, cfg.beta, w_merit, cfg.max_halvings)
 
     def lam_merit(t):  # at lam itself, G(lam) is gw_old, whose product the derivative took
         gw, z = xv(gw_old if t == lam else best_response(br, t))
@@ -343,7 +354,7 @@ def _simplified_step(state, spec, train, val, cfg, line_search):
     lam_dir = _lam_direction(spec, br, lam, w_new, u, rho, val, *xv(gw_old))
     lam_new, out_l = line_search(lam, lam_dir, cfg.delta, lam_merit, cfg.max_halvings)
     outcomes = None if out_v is None else (out_v, out_w, out_l)
-    carried = tuple(xt.known[id(x)] for x in (v_new, w_new) if id(x) in xt.known)
+    carried = tuple(pair for pair in map(xt.known.get, map(id, (v_new, w_new))) if pair)
     return _advance(state, v_new, w_new, float(lam_new), br, rho, _step_cost(cfg), outcomes,
                     carried)
 
@@ -436,6 +447,7 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
     itself or an evaluated point), so no point is evaluated twice.
     """
     xv = _Products(val, ("validation",))
+    _check_w(br.phi1, val)
     lam = float(lam0)
     lo, hi = -math.inf, math.inf
     newton = True
@@ -547,7 +559,7 @@ def _myhpo_rows(state, spec, train, val, cfg, budget):
             state, res = step(state, spec, train, val, cfg)
         yield TraceRow(state.iter, state.grad_count, state.lam,
                        r_norm=res.r_norm, s_norm=res.s_norm,
-                       u_norm=float(np.linalg.norm(state.u)),
+                       u_norm=_norm(state.u),
                        loss_eval_count=state.loss_eval_count), state.w
         if max(res.r_norm, res.s_norm) < cfg.eps_tol:
             return

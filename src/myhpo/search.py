@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LossSpec, grad_w_train, report_block
+from .model import Dataset, LossSpec, _exp, _grad_w_train, _require_role, report_block
 from .rng import RandomStream
 
 
@@ -54,10 +54,11 @@ def train_model(
     Never stops early: a blown-up iterate propagates as NaN so the
     per-candidate gradient count stays exact.
     """
-    w = np.zeros(train.d)
+    _require_role(train, ("train",))
+    w, X, exp_lam = np.zeros(train.d), train.X, _exp(lam)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_t):
-            w = w - alpha_train * grad_w_train(spec, w, lam, train)
+            w = w - alpha_train * _grad_w_train(spec, w, X @ w, exp_lam, train)
     return w
 
 

@@ -27,9 +27,12 @@ from .model import (
     BestResponse,
     Dataset,
     LossSpec,
+    _check_w,
+    _exp,
+    _fit_grad,
+    _grad_w_train,
+    _require_role,
     best_response,
-    grad_lambda_val,
-    grad_w_train,
     offload_report,
     report_block,
     require_finite,
@@ -83,14 +86,19 @@ def sho_step(
     cfg: ShoConfig,
     rng: RandomStream,
 ) -> ShoState:
-    """One alternating-gradient iteration; raises NonFiniteIterate on blowup."""
+    """One alternating-gradient iteration; raises NonFiniteIterate on blowup.
+    Checks the splits' roles and ``state.br``'s length once, not per gradient."""
+    _require_role(train, ("train",))
+    _require_role(val, ("validation",))
+    br = state.br
+    _check_w(br.phi1, train)
+    _check_w(br.phi1, val)
     lam_hat = state.lam + cfg.sigma * rng.normal()
-    g = grad_w_train(spec, best_response(state.br, lam_hat), lam_hat, train)
-    br_new = BestResponse(
-        phi1=state.br.phi1 - cfg.alpha * lam_hat * g,
-        phi0=state.br.phi0 - cfg.alpha * g,
-    )
-    lam_new = state.lam - cfg.beta * grad_lambda_val(spec, br_new, state.lam, val)
+    w_hat = best_response(br, lam_hat)
+    g = _grad_w_train(spec, w_hat, train.X @ w_hat, _exp(lam_hat), train)
+    br_new = BestResponse._of(br.phi1 - cfg.alpha * lam_hat * g, br.phi0 - cfg.alpha * g)
+    gw = best_response(br_new, state.lam)
+    lam_new = state.lam - cfg.beta * float(br_new.phi1 @ _fit_grad(spec, val.X @ gw, val))
     new = ShoState(
         br=br_new,
         lam=lam_new,

@@ -25,7 +25,8 @@ small-object allocator (see the comment at ``CHUNK``): about 97 bytes a
 row, where a list of ``TraceRow`` objects takes about 400.
 ``RunTrace.rows`` builds ``TraceRow`` objects from the columns on access,
 so each row it returns is a copy; ``write_csv`` formats lines straight
-from the columns and ``read_csv`` parses straight into them. An integer
+from the columns, and ``read_csv`` and ``record_run`` store a block of rows
+with one slice assignment per column. An integer
 outside the 64-bit range is a ``ValueError``.
 
 ``record_run`` is the one run loop behind every iterative solver: it
@@ -88,6 +89,7 @@ _TYPECODES = tuple("q" if f.type == "int" else "d" for f in _FIELDS)
 _optional = [f.type == "float | None" for f in _FIELDS]
 _NONE_BITS = tuple(1 << sum(_optional[:k]) if opt else 0 for k, opt in enumerate(_optional))
 _OPTIONAL = tuple((k, bit) for k, bit in enumerate(_NONE_BITS) if bit)
+_LOSSES = slice(3, 6)  # train_loss, val_loss, test_loss
 # A chunk's column is 64 cells of 8 bytes: 512 bytes, the largest block that
 # CPython's small-object allocator serves from its own arenas. A column kept
 # in one growing buffer lives on the malloc heap instead, where a few KB that
@@ -166,28 +168,48 @@ def _cells(chunks: list[list], empty, cell=None) -> list:
     return out
 
 
+def _store(chunks: list[list], columns: list[Sequence]):
+    """Append rows, given as one sequence of values per column, to ``chunks``:
+    one slice assignment per column of each chunk they reach. A value that
+    does not fit its column raises ``ValueError`` and stores none of the rows."""
+    n = len(columns[0])
+    none = bytearray(n)
+    for k, bit in _OPTIONAL:
+        if None in columns[k]:
+            for i, value in enumerate(columns[k]):
+                if value is None:
+                    none[i] |= bit
+            columns[k] = [0.0 if value is None else value for value in columns[k]]
+    arrays = []
+    for name, code, values in zip(TRACE_COLUMNS, _TYPECODES, columns):
+        try:
+            arrays.append(array(code, values))
+        except OverflowError:
+            raise ValueError(f"{name} is outside the 64-bit integer range") from None
+    start = 0
+    while start < n:
+        if not chunks or len(chunks[-1][-1]) == CHUNK:
+            chunks.append([blank[:] for blank in _BLANK] + [bytearray()])
+        chunk = chunks[-1]
+        j = len(chunk[-1])
+        stop = min(n, start + CHUNK - j)
+        for column, values in zip(chunk, arrays):
+            column[j:j + stop - start] = values[start:stop]
+        chunk[-1] += none[start:stop]  # the rows count from here
+        start = stop
+
+
 def _parse(rows: list[list[str]]) -> list[list]:
     """The chunks of rows of text cells; a bad cell raises ``ValueError``."""
     for cells in rows:
         if len(cells) != len(TRACE_COLUMNS):
             raise ValueError(f"{len(cells)} cells, expected {len(TRACE_COLUMNS)}")
-    none = bytearray(len(rows))
-    columns = []
-    for name, code, bit, cells in zip(TRACE_COLUMNS, _TYPECODES, _NONE_BITS,
-                                      zip(*rows) if rows else [()] * len(TRACE_COLUMNS)):
-        if bit and "" in cells:
-            for k, cell in enumerate(cells):
-                if not cell:
-                    none[k] |= bit
-            cells = [cell or 0.0 for cell in cells]
-        try:
-            columns.append(array(code, map(float if code == "d" else int, cells)))
-        except OverflowError:
-            raise ValueError(f"{name} is outside the 64-bit integer range") from None
-    for column, blank in zip(columns, _BLANK):  # a full last chunk, to append to
-        column += blank[:-len(rows) % CHUNK]
-    return [[column[i:i + CHUNK] for column in columns] + [none[i:i + CHUNK]]
-            for i in range(0, len(rows), CHUNK)]
+    chunks: list[list] = []
+    if rows:  # an empty optional cell is None
+        _store(chunks, [[float(cell) if cell else None for cell in cells] if bit and "" in cells
+                        else list(map(float if code == "d" else int, cells))
+                        for code, bit, cells in zip(_TYPECODES, _NONE_BITS, zip(*rows))])
+    return chunks
 
 
 class RunTrace:
@@ -210,8 +232,9 @@ class RunTrace:
     @rows.setter
     def rows(self, rows: Iterable[TraceRow]):
         self._chunks: list[list] = []
-        for row in rows:
-            self._store(_values(row))
+        values = map(_values, rows)
+        while batch := list(islice(values, CHUNK)):
+            _store(self._chunks, list(zip(*batch)))
 
     def __eq__(self, other):
         if not isinstance(other, RunTrace):
@@ -223,29 +246,19 @@ class RunTrace:
         header = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._HEADER)
         return f"RunTrace({header}, rows=<{len(self.rows)} rows>)"
 
-    def _store(self, values: tuple):
-        """Append one row's values, in column order, to the last chunk."""
-        none = 0
-        for k, bit in _OPTIONAL:
-            if values[k] is None:
-                none |= bit
-        chunks = self._chunks
-        if not chunks or len(chunks[-1][-1]) == CHUNK:
-            chunks.append([blank[:] for blank in _BLANK] + [bytearray()])
-        chunk = chunks[-1]
-        j = len(chunk[-1])
-        for c, (column, value) in enumerate(zip(chunk, values)):
-            try:
-                column[j] = 0.0 if value is None else value
-            except OverflowError:
-                raise ValueError(f"{TRACE_COLUMNS[c]} is outside the 64-bit integer range") from None
-        chunk[-1].append(none)  # the row counts from here, so a failed store adds none of it
+    def _extend(self, columns: list[Sequence]):
+        """``_store`` the rows of ``columns``; their ``n_grad`` must strictly increase
+        from the last row's."""
+        n_grad = list(columns[1])
+        k = _count(self._chunks) - 1
+        if k >= 0:
+            n_grad.insert(0, self._chunks[k // CHUNK][1][k % CHUNK])
+        if any(a >= b for a, b in zip(n_grad, n_grad[1:])):
+            raise ValueError("n_grad must be strictly increasing")
+        _store(self._chunks, columns)
 
     def append(self, row: TraceRow):
-        k = _count(self._chunks) - 1
-        if k >= 0 and row.n_grad <= self._chunks[k // CHUNK][1][k % CHUNK]:
-            raise ValueError("n_grad must be strictly increasing")
-        self._store(_values(row))
+        self._extend([[value] for value in _values(row)])
 
     @property
     def final_row(self) -> TraceRow | None:
@@ -355,15 +368,18 @@ def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],
     handed = None  # the block on a worker: its thread, rows and [losses or exception]
 
     def append(block: list[TraceRow], train, val, test) -> bool:
-        """Fill in and append the rows of ``block``; False once a row cuts the trace."""
-        for k, row in enumerate(block):
-            row.train_loss, row.val_loss = float(train[k]), float(val[k])
-            if not (math.isfinite(row.train_loss) and math.isfinite(row.val_loss)):
-                trace.diverged = True
-                return False
-            row.test_loss = None if test is None else float(test[k])
-            trace.append(row)
-        return True
+        """Append the rows of ``block`` with their losses, up to the first
+        non-finite one; False once a row cuts the trace."""
+        n = len(block)
+        finite = np.isfinite(train[:n]) & np.isfinite(val[:n])
+        cut = n if finite.all() else int(finite.argmin())
+        if cut:
+            columns = list(zip(*map(_values, block[:cut])))
+            columns[_LOSSES] = (train[:cut].tolist(), val[:cut].tolist(),
+                                [None] * cut if test is None else test[:cut].tolist())
+            trace._extend(columns)
+        trace.diverged |= cut < n
+        return cut == n
 
     def flush(hand_off: bool = False) -> bool:
         """Append the worker's block, then report the buffer: now, or on a new worker."""

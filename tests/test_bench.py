@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from myhpo import bench
 from myhpo.bench import (
@@ -572,6 +572,7 @@ class TestTraceIO:
             b"# solver = sho", b"# label = s", b"# seed = 1", b"# prng = ",
             b"# diverged = false", b"# note = ", b"# meta.alpha = 0.5"]
 
+    @settings(deadline=None)  # each example writes and reads a file
     @given(note=st.text(),
            meta=st.dictionaries(st.from_regex(r"[a-z_.]{1,8}", fullmatch=True), st.text()))
     def test_header_strings_survive_write_and_read(self, note, meta):
@@ -597,6 +598,7 @@ class TestTraceIO:
         assert TRACE_COLUMNS == ("iter", "n_grad", "lambda", "train_loss", "val_loss",
                                  "test_loss", "r_norm", "s_norm", "u_norm", "loss_eval_count")
 
+    @settings(deadline=None)  # each example writes and reads a file
     @given(st.lists(TRACE_ROW_CELLS, max_size=5))
     def test_rows_survive_write_and_read(self, rows):
         t = RunTrace(solver="myhpo_bt", label="bt", seed=0)

@@ -47,3 +47,35 @@ def test_header_changes(monkeypatch, capsys, parent, change, keys, problems, cou
     out = capsys.readouterr().out
     for key, count in counts.items():
         assert f"header {key} differs in {count} traces" in out
+
+
+SUMMARY = ["label     val", "myhpo_bt  0.41"]
+
+
+@pytest.mark.parametrize("change, stdout, keys, problems", [
+    ({"out/summary.txt": SUMMARY}, b"", (), 0),
+    ({"out/summary.txt": ["label     val", "myhpo_bt  0.42"]}, b"", (), 1),
+    ({"out/summary.txt": SUMMARY}, b"0.42\n", (), 1),
+    ({"out/summary.txt": SUMMARY, "out/extra.csv": []}, b"", (), 1),
+    ({"out/summary.txt": SUMMARY, "out/config_resolved.txt": ["solver[1].x = 2"]}, b"",
+     ("meta.x",), 0),
+    ({"out/summary.txt": SUMMARY, "out/config_resolved.txt": ["solver[1].y = 2"]}, b"",
+     ("meta.x",), 1),
+], ids=["identical", "summary-cell", "stdout", "file-on-one-side", "listed-key",
+        "unlisted-key"])
+def test_every_output_is_compared(monkeypatch, capsys, change, stdout, keys, problems):
+    """A differing line in any output other than a trace fails compare mode,
+    and is printed with its file, unless it is a ``key = value`` line under a
+    listed header key."""
+    parent = {"out/summary.txt": SUMMARY, "out/config_resolved.txt": ["solver[1].x = 1"]}
+    change = {"out/config_resolved.txt": ["solver[1].x = 1"], **change}
+    texts = iter([parent, change])
+    captures = iter([[("run", 0, b"0.41\n", b"")], [("run", 0, stdout or b"0.41\n", b"")]])
+    monkeypatch.setattr(byte_gate, "_run", lambda src, files, runs, work: next(captures))
+    monkeypatch.setattr(byte_gate, "_read_traces", lambda work: {"a.trace.csv": _trace()})
+    monkeypatch.setattr(byte_gate, "_read_texts", lambda work: next(texts))
+    found = byte_gate._compare_group("g", "parent", "src", {"gate.cfg": "output_dir = out\n"},
+                                     keys)
+    assert len(found) == problems
+    if change["out/summary.txt"] != SUMMARY:
+        assert "out/summary.txt: change: myhpo_bt  0.42" in capsys.readouterr().out

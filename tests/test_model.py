@@ -10,6 +10,7 @@ from myhpo.model import (
     Dataset,
     DimensionMismatch,
     LossSpec,
+    NonFiniteIterate,
     SplitDegenerate,
     _expit,
     _fit_curvature,
@@ -18,6 +19,7 @@ from myhpo.model import (
     grad_w_train,
     grad_w_val,
     report_block,
+    require_finite,
     split_best_response,
     train_loss,
     val_loss,
@@ -107,6 +109,30 @@ class TestBestResponse:
             recon = best_response(br, lam)
             tol = 4.0 * np.spacing(np.abs(v) + abs(float(br.phi0[0])))
             assert np.all(np.abs(recon - v) <= tol)
+
+
+class TestRequireFinite:
+    """Each entry is tested, so finite entries whose squared norm or sum
+    overflows never count as a divergence."""
+
+    def test_finite_entries_whose_norm_and_sum_overflow_pass(self):
+        big, huge = np.full(50, 1e200), np.array([1.7e308, 1.7e308])
+        with np.errstate(over="ignore"):
+            assert math.isinf(big @ big) and math.isinf(huge.sum())
+        require_finite(1, -1.0, big, -huge, huge)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_a_non_finite_entry_in_any_array_raises(self, bad, position):
+        arrays = [np.full(4, 1e200) for _ in range(3)]
+        arrays[position][position + 1] = bad
+        with pytest.raises(NonFiniteIterate, match="at iteration 7"):
+            require_finite(7, -1.0, *arrays)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_lam_raises(self, lam):
+        with pytest.raises(NonFiniteIterate):
+            require_finite(1, lam, np.ones(3))
 
 
 class TestLosses:

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from myhpo.bench import _build_problem, parse_config
 from myhpo.model import Dataset, LossSpec
 from myhpo.search import (
     CandidateEval,
@@ -52,6 +54,26 @@ class TestTrainModel:
         fit = lambda w: float((train.X @ w - train.y) @ (train.X @ w - train.y))
         assert fit(w_lo) <= fit(w_hi)
         assert train_loss(ls_spec, w_lo, -10.0, train) <= train_loss(ls_spec, w_hi, 5.0, train)
+
+
+STABILITY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "demos", "configs", "stability.cfg")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_train_model_matches_its_closed_form(seed, ls_spec):
+    """``n_t`` steps of size ``alpha`` from 0 on the ridge objective end at
+    ``Q ((1 - (1 - alpha (s + c))^n_t) / (s + c) Q^T b)``, ``c = 2 e^lam``,
+    with ``(s, Q)`` the training Gram matrix's spectrum and ``b = X^T y / n``:
+    on each stability run seed's training split, at the stability search's
+    step size and ``n_t``."""
+    train = _build_problem(parse_config(STABILITY).problem, seed, None)[1]
+    s, q = train.spectrum
+    for lam in (-10.0, -5.0, -1.0, 0.5):
+        c = 2.0 * math.exp(lam)
+        exact = q @ ((1.0 - (1.0 - 0.03 * (s + c)) ** 1000) / (s + c) * (q.T @ train.xty))
+        w = train_model(ls_spec, lam, train, 0.03, 1000)
+        assert np.linalg.norm(w - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
 class TestCandidates:

@@ -10,10 +10,11 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import myhpo.model
 import myhpo.moreau
@@ -29,7 +30,7 @@ from myhpo.model import (
 )
 from myhpo.moreau import MyhpoConfig, MyhpoState, my_step_full, myhpo_run
 from myhpo.sho import ShoConfig, ShoState, sho_run
-from myhpo.trace import BLOCK, RunTrace, TraceRow, record_run
+from myhpo.trace import _NONE_BITS, BLOCK, CHUNK, RunTrace, TraceRow, record_run
 from conftest import TRACE_ROW_CELLS, random_regression
 
 SPEC = LossSpec("least_squares")
@@ -245,6 +246,65 @@ def test_an_eps_tol_stop_inside_a_block_reports_every_row():
         assert row.val_loss == pytest.approx(val_loss(SPEC, state.w, val), rel=1e-12)
 
 
+def scripted_rows(n, first, cut):
+    """Rows ``first..first + n - 1`` with None in some optional cells, each
+    with an iterate whose entries are its losses; row ``cut``'s are NaN."""
+    for i in range(first, first + n):
+        row = TraceRow(i, 2 * i, -1.0 + 0.01 * i, r_norm=None if i % 3 else 0.1 * i,
+                       s_norm=None if i % 2 else -0.0, u_norm=0.5 / i, loss_eval_count=3 * i)
+        yield row, np.full(3, math.nan) if i == cut else np.array([0.5 / i, 0.25 / i, -1.0 * i])
+
+
+@pytest.mark.parametrize("with_test", [True, False], ids=["test", "no-test"])
+@pytest.mark.parametrize("given", [0, 5], ids=["empty", "5-rows-before"])
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+def test_a_reported_block_is_stored_as_its_rows_one_by_one(n, cut, given, with_test):
+    """``record_run`` stores each block a column at a time: the trace equals
+    the one that appends each row, its losses set, one by one, with the same
+    None-mask bits, also when the block spans two chunks."""
+    first = given + 1
+    cut_at = first + n - 2 if cut else None  # the next to last row
+
+    def report(W, lams):
+        return W[:, 0], W[:, 1], W[:, 2] if with_test else None
+
+    head = [row for row, _ in scripted_rows(given, 1, None)]
+    trace = record_run(RunTrace("scripted", "scripted", 0, rows=head),
+                       scripted_rows(n, first, cut_at), report)
+    expected = RunTrace("scripted", "scripted", 0, rows=head)
+    for row, w in scripted_rows(n, first, cut_at):
+        if row.iter == cut_at:
+            break
+        row.train_loss, row.val_loss = float(w[0]), float(w[1])
+        row.test_loss = float(w[2]) if with_test else None
+        expected.append(row)
+    assert trace.diverged == cut
+    assert len(trace.rows) == given + (n - 2 if cut else n)
+    assert [row.as_cells() for row in trace.rows] == [row.as_cells() for row in expected.rows]
+    assert ([[bytes(column) for column in chunk] for chunk in trace._chunks]
+            == [[bytes(column) for column in chunk] for chunk in expected._chunks])
+    for k, row in enumerate(expected.rows):
+        bits = sum(bit for value, bit in zip(astuple(row), _NONE_BITS) if value is None)
+        assert trace._chunks[k // CHUNK][-1][k % CHUNK] == bits
+
+
+@pytest.mark.parametrize("bad, message", [
+    (TraceRow(BLOCK - 3, 2, 0.0), "^n_grad must be strictly increasing"),
+    (TraceRow(BLOCK - 3, 2 * BLOCK, 0.0, loss_eval_count=2**63),
+     "^loss_eval_count is outside the 64-bit integer range"),
+], ids=["n_grad", "64-bit"])
+def test_a_block_with_a_bad_row_is_a_named_error(bad, message):
+    def rows():
+        yield from ((TraceRow(i, 2 * i, 0.0), iterate(i)) for i in range(1, BLOCK - 3))
+        yield bad, iterate(BLOCK - 3)
+
+    train, val, test = splits()
+    with pytest.raises(ValueError, match=message):
+        record_run(RunTrace("scripted", "scripted", 0), rows(),
+                   lambda W, lams: report_block(SPEC, W, lams, train, val, test))
+
+
 def myhpo_row(i):
     """Row ``i`` of a MY-HPO run: every column set but the test loss."""
     return TraceRow(i, 2 * i, -1.0 + 1e-3 * i, 0.5 + 1e-4 * i, 0.25 + 1e-4 * i, None,
@@ -265,6 +325,7 @@ def test_a_trace_holds_a_row_in_at_most_100_bytes():
     assert held / n <= 100
 
 
+@settings(deadline=None)  # each example writes and reads a file
 @given(st.lists(TRACE_ROW_CELLS, max_size=6), st.integers(min_value=0, max_value=6))
 def test_rows_given_and_appended_read_back_exactly(cells, given_rows):
     """The first ``given_rows`` rows go to the constructor, the rest to

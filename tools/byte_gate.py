@@ -42,8 +42,12 @@ stderr, each trace's header lines (``diverged``, ``note`` and the
 parameters among them), row count and ledger cells (``iter``, ``n_grad``,
 ``loss_eval_count``) and ``lambda`` to be identical, and prints the largest
 relative difference in each other column, with the trace and row where it
-occurs. It exits 1 when anything required differs or a command exits
-non-zero on either side.
+occurs. Every other output must be identical line for line: each command's
+stdout and every other file the commands left (``summary.txt``,
+``summary.csv``, the curves CSVs, ``config_resolved.txt``); each line that
+differs is printed with its file, so a change that moves the reported
+losses shows in the summaries and curves too. The mode exits 1 when
+anything required differs or a command exits non-zero on either side.
 
 A change that alters trace headers on purpose names the keys it alters::
 
@@ -52,12 +56,15 @@ A change that alters trace headers on purpose names the keys it alters::
 
 Header lines under a listed key (``# meta.config_hash = ...``) may then
 differ, or exist on one side only; every other header line must still
-match. Per group, the mode prints how many traces differ under each listed
-key.
+match. So may the ``key = value`` lines of the other outputs whose key is
+the listed key less its ``meta.`` prefix, alone or after a dot
+(``config_hash = ...``, ``solver[2].some_field = ...``). Per group, the
+mode prints how many traces differ under each listed key.
 """
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import math
 import os
@@ -254,6 +261,38 @@ def _read_traces(work: str) -> dict[str, tuple[list[str], list[str], list[list[s
     return traces
 
 
+def _read_texts(work: str) -> dict[str, list[str]]:
+    """Relative path -> lines of every file but the traces."""
+    texts = {}
+    for base, _, names in os.walk(work):
+        for name in (n for n in names if not n.endswith(".trace.csv")):
+            path = os.path.join(base, name)
+            with open(path, encoding="utf-8", newline="\n") as fh:
+                texts[os.path.relpath(path, work)] = fh.read().splitlines()
+    return texts
+
+
+def _covered(line: str, header_keys: tuple[str, ...]) -> bool:
+    """Whether a ``key = value`` line is under a listed trace header key:
+    ``solver[2].x = 1`` and ``x = 1`` are under ``meta.x``."""
+    key = line.partition(" = ")[0]
+    return any(key == k or key.endswith("." + k)
+               for k in (h.removeprefix("meta.") for h in header_keys))
+
+
+def _text_changes(name: str, label: str, a: list[str], b: list[str],
+                  header_keys: tuple[str, ...]) -> list[str]:
+    """Print each line that differs between two versions of one output;
+    return a problem if a listed key does not cover every such line."""
+    uncovered = 0
+    for line in difflib.unified_diff(a, b, lineterm="", n=0):
+        if line.startswith(("---", "+++", "@@")):
+            continue
+        print(f"  {label}: {'parent' if line[0] == '-' else 'change'}: {line[1:]}")
+        uncovered += not _covered(line[1:], header_keys)
+    return [f"{name}: {label}: {uncovered} differing lines"] if uncovered else []
+
+
 def _relative(a: str, b: str) -> float:
     """Relative difference of two numeric cells: 0 when they are equal, inf
     when exactly one is empty or non-finite."""
@@ -281,10 +320,19 @@ def _compare_group(name: str, parent: str, src: str, files: dict[str, str],
     with tempfile.TemporaryDirectory() as work_a, tempfile.TemporaryDirectory() as work_b:
         caps_a, caps_b = _run(parent, files, runs, work_a), _run(src, files, runs, work_b)
         traces_a, traces_b = _read_traces(work_a), _read_traces(work_b)
+        texts_a, texts_b = _read_texts(work_a), _read_texts(work_b)
     problems = _failures(f"parent {name}", caps_a) + _failures(name, caps_b)
-    for (label, code_a, _, err_a), (_, code_b, _, err_b) in zip(caps_a, caps_b):
+    print(f"{name}:")
+    for (label, code_a, out_a, err_a), (_, code_b, out_b, err_b) in zip(caps_a, caps_b):
         if (code_a, err_a) != (code_b, err_b):
             problems.append(f"{name}: command {label!r}: exit code or stderr differs")
+        problems += _text_changes(name, f"stdout of {label!r}", out_a.decode().splitlines(),
+                                  out_b.decode().splitlines(), header_keys)
+    for path in sorted(texts_a.keys() | texts_b.keys()):
+        problems += _text_changes(name, path, texts_a.get(path, []), texts_b.get(path, []),
+                                  header_keys)
+    if texts_a.keys() != texts_b.keys():
+        problems.append(f"{name}: files differ: {sorted(texts_a.keys() ^ texts_b.keys())}")
     if traces_a.keys() != traces_b.keys():
         problems.append(f"{name}: trace files differ: {sorted(traces_a.keys() ^ traces_b.keys())}")
     drift: dict[str, tuple[float, str]] = {}
@@ -306,7 +354,7 @@ def _compare_group(name: str, parent: str, src: str, files: dict[str, str],
                         problems.append(f"{name}: {path}: row {k}: {col} {a} != {b}")
                 elif _relative(a, b) > drift.get(col, (-1.0, ""))[0]:
                     drift[col] = (_relative(a, b), f"{path} row {k}")
-    print(f"{name}: {len(traces_a)} traces, {sum(len(t[2]) for t in traces_a.values())} rows")
+    print(f"  {len(traces_a)} traces, {sum(len(t[2]) for t in traces_a.values())} rows")
     for col, (rel, where) in drift.items():
         print(f"  {col:<16} max relative difference {rel:.3g}" + (f"  ({where})" if rel else ""))
     for key, count in changed.items():
@@ -324,8 +372,8 @@ def compare(parent: str, src: str, header_keys: tuple[str, ...]) -> int:
         print(f"DIFFERS {problem}")
     if len(problems) > 20:
         print(f"... and {len(problems) - 20} more")
-    print("identical ledger, lambda, flags, notes and stderr" if not problems
-          else f"{len(problems)} differences")
+    print("identical ledger, lambda, flags, notes, stderr, stdout and other outputs"
+          if not problems else f"{len(problems)} differences")
     return 1 if problems else 0
 
 
