@@ -125,7 +125,7 @@ def run_gradcheck(n_instances: int = 120, seed: int = 0,
 
         def direction(t):
             gw = best_response(br, t)
-            return _lam_direction(spec, br, t, w_c, u, rho, val, gw, val.X @ gw)
+            return _lam_direction(spec, br, t, w_c - gw, u, rho, val, val.X @ gw)
 
         check(f"lam_merit_{kind}", direction(lam_for_br), fd_scalar(merit, lam_for_br))
         z = val.X @ best_response(br, lam_for_br)

@@ -36,20 +36,19 @@ public function takes ``data.X @ w`` once per call.
 
 Each public function checks its split's role and its point's shape on
 every call, then runs the unchecked kernels: the ``_fit_*`` ones, and
-``_train_loss`` and ``_grad_w_train``, which take ``exp_lam = _exp(lam)``.
+``_grad_w_train``, which takes ``exp_lam = _exp(lam)``.
 The solver steps and ``search.train_model`` run the same kernels and check
 once per step or run: the roles when they bind a split, the shapes of the
 points they are given, never per product.
 
 Products are kept in two places. A split memoizes products of its own
-``X`` and ``y`` (``gram``, ``xty``, ``gram_norm`` and the spectrum of
-``gram``) on first use; the spectrum turns every shifted solve
-``(gram + c I) x = b`` into two matrix-vector products, O(d^2) after one
-O(d^3) ``eigh``. The MY-HPO steps (``moreau``) keep ``X @ x`` for each
-point they evaluate, keyed by the array's identity, and the simplified
-step carries the accepted ``v`` and ``w`` products in its state. Neither
-notices an in-place change, so neither a split's arrays nor a solver
-state's iterates may be changed in place once a solver has read them.
+``X`` and ``y`` on first use (``Dataset``); its spectrum turns every
+shifted solve ``(gram + c I) x = b`` into two matrix-vector products,
+O(d^2) after one O(d^3) ``eigh``, and one when ``b`` is ``xty``. The
+simplified MY-HPO step (``moreau``) carries the accepted ``v`` and ``w``
+products in its state, matched by the arrays' identity. Neither notices
+an in-place change, so neither a split's arrays nor a solver state's
+iterates may be changed in place once a solver has read them.
 """
 
 from __future__ import annotations
@@ -92,9 +91,9 @@ class Dataset:
     ``y`` holds real targets for regression and exactly -1/+1 for
     classification; ``n`` and ``d`` are ``X``'s row and column counts. ``role`` is one of ``train``, ``validation``, ``test``
     and is checked by the loss functions so a split cannot be fed to the
-    wrong objective by accident. ``gram``, ``xty``, ``gram_norm`` and
-    ``spectrum`` are the products the exact solves reuse, memoized on
-    first use.
+    wrong objective by accident. ``gram``, ``xty``, ``gram_norm``,
+    ``spectrum`` and ``xty_projected`` are the products the exact solves
+    reuse, memoized on first use.
     """
 
     X: np.ndarray
@@ -142,15 +141,22 @@ class Dataset:
         ``np.linalg.eigh`` returns them, computed on first use."""
         return np.linalg.eigh(self.gram)
 
-    def solve_shifted(self, c: float, b: np.ndarray) -> np.ndarray:
+    @cached_property
+    def xty_projected(self) -> np.ndarray:
+        """``Q.T @ xty``, with ``Q`` from ``spectrum``, computed on first use."""
+        return self.spectrum[1].T @ self.xty
+
+    def solve_shifted(self, c: float, b: np.ndarray | None = None) -> np.ndarray:
         """Solve ``(gram + c * I) x = b`` as ``Q @ ((Q.T @ b) / (s + c))``.
 
-        O(d^2) per call once ``spectrum`` is known. The eigenvalues stay as
-        ``eigh`` returns them: on a rank-deficient ``gram`` with ``c = 0``,
-        clamping the roundoff-negative ones at 0 would divide by zero.
+        O(d^2) per call once ``spectrum`` is known; ``b`` defaults to ``xty``,
+        whose ``Q.T @ xty`` is memoized. The eigenvalues stay as ``eigh``
+        returns them: on a rank-deficient ``gram`` with ``c = 0``, clamping
+        the roundoff-negative ones at 0 would divide by zero.
         """
         s, q = self.spectrum
-        return q @ ((q.T @ b) / (s + c))
+        qtb = self.xty_projected if b is None else q.T @ b
+        return q @ (qtb / (s + c))
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,7 @@ def split_best_response(v: np.ndarray, lam: float) -> BestResponse:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"v must be 1-d, got ndim={v.ndim}")
-    mean = float(v.sum() / v.size)  # what v.mean() computes
+    mean = float(np.add.reduce(v) / v.size)  # what v.mean() computes
     phi0 = np.empty_like(v)
     phi0.fill(mean)
     return BestResponse._of((v - mean) / lam, phi0)
@@ -232,8 +238,13 @@ def _exp(lam: float) -> float:
 def require_finite(iteration: int, lam: float, *arrays: np.ndarray):
     """Raise NonFiniteIterate unless ``lam`` and every array are finite: entry by
     entry, never by a norm or a sum, which overflow on finite entries."""
-    if not (math.isfinite(lam) and all(np.isfinite(a).all() for a in arrays)):
-        raise NonFiniteIterate(f"non-finite iterate at iteration {iteration}")
+    if math.isfinite(lam):
+        for a in arrays:
+            if np.count_nonzero(np.isfinite(a)) != a.size:
+                break
+        else:
+            return
+    raise NonFiniteIterate(f"non-finite iterate at iteration {iteration}")
 
 
 def _check_w(w: np.ndarray, data: Dataset) -> np.ndarray:
@@ -253,7 +264,7 @@ def _fit_loss(spec: LossSpec, z: np.ndarray, data: Dataset) -> float:
     """Data-fit part of the loss at the product ``z = data.X @ w``, without the regularizer."""
     if spec.kind == LEAST_SQUARES:
         r = z - data.y
-        return float(r @ r) / (2.0 * data.n)
+        return float(r.dot(r)) / (2.0 * data.n)
     # log(1 + exp(-y z)) evaluated stably; large |z| occur at lam = -10.
     return float(np.logaddexp(0.0, -(data.y * z)).mean())
 
@@ -263,12 +274,6 @@ def _fit_grad(spec: LossSpec, z: np.ndarray, data: Dataset) -> np.ndarray:
     if spec.kind == LEAST_SQUARES:
         return data.X.T @ (z - data.y) / data.n
     return -(data.X.T @ (data.y * _expit(-(data.y * z)))) / data.n
-
-
-def _train_loss(spec: LossSpec, w: np.ndarray, z: np.ndarray, exp_lam: float,
-                data: Dataset) -> float:
-    """``train_loss`` from ``z = data.X @ w`` and ``exp_lam = _exp(lam)``, unchecked."""
-    return _fit_loss(spec, z, data) + exp_lam * float(w @ w)
 
 
 def _grad_w_train(spec: LossSpec, w: np.ndarray, z: np.ndarray, exp_lam: float,
@@ -290,7 +295,7 @@ def train_loss(spec: LossSpec, w: np.ndarray, lam: float, data: Dataset) -> floa
     """Regularized training objective ``L_T(w, lam)`` on the train split."""
     _require_role(data, ("train",))
     w = _check_w(w, data)
-    return _train_loss(spec, w, data.X @ w, _exp(lam), data)
+    return _fit_loss(spec, data.X @ w, data) + _exp(lam) * float(w.dot(w))
 
 
 def val_loss(spec: LossSpec, w: np.ndarray, data: Dataset) -> float:

@@ -51,14 +51,16 @@ Variants
   iteration). Merit re-evaluations are loss evaluations and are tracked in
   ``loss_eval_count``, never in the gradient ledger.
 
-  Both take each point's ``X @ x`` once. The training gradient and the
-  merits at ``v`` and ``w`` reuse the products the previous step took at
-  the points it accepted, carried in the state, and the lam derivative and
-  the merit at ``lam`` share ``X_val @ G(lam)``. So a constant step makes
-  four passes over a data matrix (``X v``, ``X^T r`` and their validation
-  pair), and a backtracking step whose blocks all evaluate makes E, one per
-  merit evaluation; a run's first step adds two, for the initial ``v`` and
-  ``w``. ``loss_eval_count`` counts evaluations, not passes.
+  Both take each product, slack and dot once. The training gradient and
+  the merits at ``v`` and ``w`` reuse the terms (``X x``, data fit, ``x.x``)
+  the previous step took at the points it accepted, carried in the state.
+  The lam derivative and the merit at ``lam`` share ``X_val @ G(lam)`` and
+  the accepted ``w``'s slack ``w - G(lam)``, and the accepted ``lam``'s
+  slack is the residual ``r``. So a constant step makes four passes over a
+  data matrix (``X v``, ``X^T r`` and their validation pair), and a
+  backtracking step whose blocks all evaluate makes E, one per merit
+  evaluation; a run's first step adds two, for the initial ``v`` and ``w``.
+  ``loss_eval_count`` counts evaluations, not passes.
 - ``full``: exact block minimization. Least-squares subproblems are
   closed-form spectral solves, ``Q ((Q^T b) / (s + c))`` with the
   training Gram matrix's eigendecomposition ``(s, Q)``: O(d^2) each after
@@ -88,9 +90,7 @@ from .model import (
     _fit_curvature,
     _fit_grad,
     _fit_loss,
-    _grad_w_train,
     _require_role,
-    _train_loss,
     BestResponse,
     Dataset,
     LossSpec,
@@ -176,9 +176,10 @@ class MyhpoState:
     grad_count: int = 0
     loss_eval_count: int = 0
     last_backtrack: tuple | None = field(default=None, repr=False, compare=False)
-    # (point, train X @ point) pairs of the step that made this state, for
-    # its v and w; used only while they are still this state's arrays
-    _carried: tuple = field(default=(), init=False, repr=False, compare=False)
+    # (v, its terms, w, its terms) from the step that made this state: a
+    # point's training terms (X @ x, data fit at it, x.x), None where that
+    # step took none; used only while v and w are still this state's arrays
+    _carried: tuple = field(default=(None,) * 4, init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, d: int, lam0: float = LAMBDA0) -> "MyhpoState":
@@ -187,16 +188,12 @@ class MyhpoState:
 
 @dataclass
 class Residuals:
+    """The consensus and drift residuals of one iteration, with their ``_norm``s."""
+
     r: np.ndarray
     s: np.ndarray
-    r_norm: float = field(init=False)
-    s_norm: float = field(init=False)
-
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
-        self.r_norm = _norm(self.r)
-        self.s_norm = _norm(self.s)
+    r_norm: float
+    s_norm: float
 
 
 def _norm(x: np.ndarray) -> float:
@@ -209,29 +206,23 @@ def residuals(state_new: MyhpoState, lambda_old: float, rho: float) -> Residuals
     gw = best_response(state_new.br, state_new.lam)
     r = state_new.w - gw
     s = rho * (state_new.lam - lambda_old) * state_new.br.phi1
-    return Residuals(r=r, s=s)
+    return Residuals(r, s, _norm(r), _norm(s))
 
 
-def _advance(state, v_new, w_new, lam_new, br, rho, grads, outcomes=None, carried=()):
-    """Close an iteration: the residuals, then the consensus dual update
-    ``u += rho * r`` from the same gap ``r``.
+def _advance(state, v_new, w_new, lam_new, br, rho, grads, res=None, outcomes=None, evals=0,
+             carried=(None,) * 4):
+    """Close an iteration: the residuals ``res`` unless the step took them,
+    then the consensus dual update ``u += rho * r`` from the same gap ``r``.
 
-    ``grads`` is the step's ledger cost and ``outcomes`` its backtracked
-    block outcomes, whose merit evaluations join ``loss_eval_count``.
-    ``carried`` holds the training products the next step may reuse.
+    ``grads`` is the step's ledger cost, ``outcomes`` its backtracked block
+    outcomes and ``evals`` their merit evaluations, which join
+    ``loss_eval_count``. ``carried`` is the state's ``_carried``.
     """
-    new = MyhpoState(
-        v=v_new,
-        w=w_new,
-        lam=lam_new,
-        u=state.u,
-        br=br,
-        iter=state.iter + 1,
-        grad_count=state.grad_count + grads,
-        loss_eval_count=state.loss_eval_count + sum(o.evals for o in outcomes or ()),
-        last_backtrack=outcomes,
-    )
-    res = residuals(new, state.lam, rho)
+    new = MyhpoState(v=v_new, w=w_new, lam=lam_new, u=state.u, br=br, iter=state.iter + 1,
+                     grad_count=state.grad_count + grads,
+                     loss_eval_count=state.loss_eval_count + evals, last_backtrack=outcomes)
+    if res is None:
+        res = residuals(new, state.lam, rho)
     new.u = state.u + rho * res.r
     new._carried = carried
     require_finite(new.iter, new.lam, new.v, new.w, new.u)
@@ -244,145 +235,146 @@ def _step_cost(cfg: MyhpoConfig) -> int:
     return 1 if cfg.variant == "full" else 2
 
 
-def _augmented(f: float, u: np.ndarray, rho: float, slack: np.ndarray) -> float:
-    """Coupled merit ``f + u.slack + (rho/2)||slack||^2``, summed in that order."""
-    return f + float(u @ slack) + 0.5 * rho * float(slack @ slack)
-
-
-def _lam_direction(spec, br, lam, w_new, u, rho, val, gw, z) -> float:
+def _lam_direction(spec, br, lam, slack, u, rho, val, z) -> float:
     """Derivative in lam of the augmented validation objective at ``lam``, from
-    ``gw = G(lam)`` and ``z = val.X @ gw``: one d-dimensional validation gradient."""
-    df = float(br.phi1 @ _fit_grad(spec, z, val))
-    return df - float(u @ br.phi1) - rho * float(br.phi1 @ (w_new - gw))
+    ``slack = w_new - G(lam)`` and ``z = val.X @ G(lam)``: one d-dimensional
+    validation gradient."""
+    phi1 = br.phi1
+    return (float(phi1.dot(_fit_grad(spec, z, val))) - float(u.dot(phi1))
+            - rho * float(phi1.dot(slack)))
 
 
 def _lam_curvature(spec, br, rho, val, z, xp) -> float:
     """Second lam derivative of that objective, from ``z`` and ``xp = val.X @ phi1``."""
-    return _fit_curvature(spec, z, xp, val) + rho * float(br.phi1 @ br.phi1)
+    return _fit_curvature(spec, z, xp, val) + rho * float(br.phi1.dot(br.phi1))
 
 
 def _backtrack(x0, direction, step0: float, merit, max_halvings: int):
     """Halve the step until ``merit(x0 - t * direction)`` strictly decreases.
 
-    A zero direction (a NaN one is not zero) is already stationary for the
-    block and returns immediately without evaluating the merit. If no
-    halving produces a decrease the block stalls and ``x0`` is kept.
+    ``merit(x)`` returns ``(value, extra)``, ``extra`` being what it took on
+    the way that the caller reuses at the point it keeps. Returns that point,
+    its ``extra`` and the block's outcome. A zero direction (a NaN one is not
+    zero) is already stationary for the block and returns ``x0`` at once,
+    with ``extra`` None and no merit evaluated. If no halving produces a
+    decrease the block stalls and ``x0`` is kept.
     """
-    if not (direction.any() if isinstance(direction, np.ndarray) else direction):
-        return x0, BlockOutcome(step=None, merit_before=math.nan, merit_after=math.nan,
-                                evals=0, stalled=False)
-    m0 = merit(x0)
-    evals = 1
-    t = step0
+    if not (np.count_nonzero(direction) if isinstance(direction, np.ndarray) else direction):
+        return x0, None, BlockOutcome(step=None, merit_before=math.nan, merit_after=math.nan,
+                                      evals=0, stalled=False)
+    m0, extra0 = merit(x0)
+    evals, t = 1, step0
     for _ in range(max_halvings + 1):
         cand = x0 - t * direction
-        mc = merit(cand)
+        mc, extra = merit(cand)
         evals += 1
         if mc < m0:
-            return cand, BlockOutcome(step=t, merit_before=m0, merit_after=mc,
-                                      evals=evals, stalled=False)
+            return cand, extra, BlockOutcome(step=t, merit_before=m0, merit_after=mc,
+                                             evals=evals, stalled=False)
         t *= 0.5
-    return x0, BlockOutcome(step=None, merit_before=m0, merit_after=m0,
-                            evals=evals, stalled=True)
+    return x0, extra0, BlockOutcome(step=None, merit_before=m0, merit_after=m0,
+                                    evals=evals, stalled=True)
 
 
-def _constant(x0, direction, step0: float, merit, max_halvings: int):
-    """Take the full step ``x0 - step0 * direction``; the merit is never evaluated."""
-    return x0 - step0 * direction, None
-
-
-class _Products:
-    """``data.X @ x`` for each point a step evaluates, taken once per point.
-
-    The split's role is checked once, when it is bound. Points are keyed by
-    identity, starting from the ``carried`` (point, product) pairs, so an
-    equal but distinct array gets its own product. A lookup checks nothing:
-    the step checks the points it is given (``_check_w``), and every point
-    it makes from them is a float vector of their length.
-    """
-
-    def __init__(self, data: Dataset, roles: tuple[str, ...], carried=()):
-        _require_role(data, roles)
-        self.X = data.X
-        self.known = {id(x): (x, z) for x, z in carried}
-
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, data.X @ x)``."""
-        key = id(x)
-        pair = self.known.get(key)
-        if pair is None:
-            pair = self.known[key] = (x, self.X @ x)
-        return pair
-
-
-def _simplified_step(state, spec, train, val, cfg, line_search):
-    """The four block updates, each stepping along its gradient by ``line_search``.
+def _simplified_step(state, spec, train, val, cfg, backtracking):
+    """The four block updates, each one gradient step: a constant one, or one
+    that ``_backtrack`` halves on the block's merit function.
 
     Merit functions are block-coordinate: the v block uses the training
     loss, the w block the augmented training objective, the lam block the
     augmented validation objective. The w block reuses the step-1 training
-    gradient.
-    Each point's ``X @ x`` is taken once (see Variants), bit for bit the
-    value the public model functions would compute. The splits' roles and
-    the points' shapes are checked once per step, never per product; the
-    caller's state is read, never changed.
+    gradient. Each product, slack and dot is taken once and reused wherever
+    the math repeats it (see Variants), bit for bit the value the public
+    model functions would compute. The splits' roles and the points' shapes
+    are checked once per step, never per product; the caller's state is
+    read, never changed.
     """
-    lam, u, rho = state.lam, state.u, cfg.rho
-    xt = _Products(train, ("train",), state._carried)
-    xv = _Products(val, ("validation",))
+    _require_role(train, ("train",))
+    _require_role(val, ("validation",))
     v, w = _check_w(state.v, train), _check_w(state.w, train)
+    lam, u, rho, X = state.lam, state.u, cfg.rho, train.X
+    cv, tv, cw, tw = state._carried
+    tv, tw = tv if cv is v else None, tw if cw is w else None
+    zv = X @ v if tv is None else tv[0]
     exp_lam = _exp(lam)
+    g_t = _fit_grad(spec, zv, train) + 2.0 * exp_lam * v
 
-    def loss_t(x):
-        return _train_loss(spec, *xt(x), exp_lam, train)
+    def at(x, z=None):  # the training terms of a point: (X @ x, data fit, x.x)
+        z = X @ x if z is None else z
+        return z, _fit_loss(spec, z, train), float(x.dot(x))
 
-    g_t = _grad_w_train(spec, *xt(v), exp_lam, train)
-    v_new, out_v = line_search(v, g_t, cfg.alpha, loss_t, cfg.max_halvings)
+    if backtracking:
+        def v_merit(x):  # the training loss; extra: the point's terms
+            tx = (tv or at(v, zv)) if x is v else at(x)
+            return tx[1] + exp_lam * tx[2], tx
+
+        v_new, extra, out_v = _backtrack(v, g_t, cfg.alpha, v_merit, cfg.max_halvings)
+        tv = extra or tv
+    else:
+        v_new = v - cfg.alpha * g_t
     br = split_best_response(v_new, lam)
-    gw_old = _check_w(best_response(br, lam), val)  # the validation points' one check
+    phi1, phi0 = br.phi1, br.phi0
+    gw = _check_w(lam * phi1 + phi0, val)  # G(lam); the validation points' one check
 
-    def w_merit(x):
-        return _augmented(loss_t(x), u, rho, x - gw_old)
+    # slack = w_new - G(lam), with u.slack and slack.slack once a merit took them
+    slack = w - gw
+    w_dir = g_t + u + rho * slack
+    us = ss = None
+    if backtracking:
+        def w_merit(x):  # the augmented training objective; extra: (terms, slack, u.s, s.s)
+            tx, s = (tw or at(w), slack) if x is w else (at(x), x - gw)
+            us, ss = float(u.dot(s)), float(s.dot(s))
+            return tx[1] + exp_lam * tx[2] + us + 0.5 * rho * ss, (tx, s, us, ss)
 
-    w_dir = g_t + u + rho * (w - gw_old)
-    w_new, out_w = line_search(w, w_dir, cfg.beta, w_merit, cfg.max_halvings)
+        w_new, extra, out_w = _backtrack(w, w_dir, cfg.beta, w_merit, cfg.max_halvings)
+        if extra:
+            tw, slack, us, ss = extra
+        if us is None:  # the w block evaluated no merit
+            us, ss = float(u.dot(slack)), float(slack.dot(slack))
+    else:
+        w_new = w - cfg.beta * w_dir
+        slack = w_new - gw
 
-    def lam_merit(t):  # at lam itself, G(lam) is gw_old, whose product the derivative took
-        gw, z = xv(gw_old if t == lam else best_response(br, t))
-        return _augmented(_fit_loss(spec, z, val), u, rho, w_new - gw)
+    # r = w_new - G(lam_new), the consensus residual, and rr = r.r
+    zg = val.X @ gw
+    lam_dir = _lam_direction(spec, br, lam, slack, u, rho, val, zg)
+    if backtracking:
+        def lam_merit(t):  # the augmented validation objective; extra: (r, r.r) at t
+            if t == lam:  # at lam itself, G(lam) is gw, with its product and slack taken
+                z, r, ur, rr = zg, slack, us, ss
+            else:
+                g = t * phi1 + phi0
+                z, r = val.X @ g, w_new - g
+                ur, rr = float(u.dot(r)), float(r.dot(r))
+            return _fit_loss(spec, z, val) + ur + 0.5 * rho * rr, (r, rr)
 
-    lam_dir = _lam_direction(spec, br, lam, w_new, u, rho, val, *xv(gw_old))
-    lam_new, out_l = line_search(lam, lam_dir, cfg.delta, lam_merit, cfg.max_halvings)
-    outcomes = None if out_v is None else (out_v, out_w, out_l)
-    carried = tuple(pair for pair in map(xt.known.get, map(id, (v_new, w_new))) if pair)
-    return _advance(state, v_new, w_new, float(lam_new), br, rho, _step_cost(cfg), outcomes,
-                    carried)
+        lam_new, extra, out_l = _backtrack(lam, lam_dir, cfg.delta, lam_merit, cfg.max_halvings)
+        r, rr = extra or (slack, ss)
+        outcomes = (out_v, out_w, out_l)
+        evals, carried = out_v.evals + out_w.evals + out_l.evals, (v_new, tv, w_new, tw)
+    else:
+        lam_new = lam - cfg.delta * lam_dir
+        r = w_new - (lam_new * phi1 + phi0)
+        rr, outcomes, evals, carried = float(r.dot(r)), None, 0, (v_new, None, w_new, None)
+    s = rho * (lam_new - lam) * phi1
+    return _advance(state, v_new, w_new, lam_new, br, rho, _step_cost(cfg),
+                    Residuals(r, s, math.sqrt(rr), _norm(s)), outcomes, evals, carried)
 
 
-def my_step_simplified(
-    state: MyhpoState,
-    spec: LossSpec,
-    train: Dataset,
-    val: Dataset,
-    cfg: MyhpoConfig,
-) -> tuple[MyhpoState, Residuals]:
+def my_step_simplified(state: MyhpoState, spec: LossSpec, train: Dataset, val: Dataset,
+                       cfg: MyhpoConfig) -> tuple[MyhpoState, Residuals]:
     """One constant-step iteration of the four block updates."""
-    return _simplified_step(state, spec, train, val, cfg, _constant)
+    return _simplified_step(state, spec, train, val, cfg, False)
 
 
-def my_step_backtracking(
-    state: MyhpoState,
-    spec: LossSpec,
-    train: Dataset,
-    val: Dataset,
-    cfg: MyhpoConfig,
-) -> tuple[MyhpoState, Residuals]:
+def my_step_backtracking(state: MyhpoState, spec: LossSpec, train: Dataset, val: Dataset,
+                         cfg: MyhpoConfig) -> tuple[MyhpoState, Residuals]:
     """Simplified step where each block backtracks on its own merit function.
 
     Directions, gradient reuse and the gradient ledger are identical to the
     constant-step variant; ``last_backtrack`` holds the three block outcomes.
     """
-    return _simplified_step(state, spec, train, val, cfg, _backtrack)
+    return _simplified_step(state, spec, train, val, cfg, True)
 
 
 class _Ledger:
@@ -410,11 +402,10 @@ def _minimize_train(spec, lam, train, x0, cfg, ledger, rho=0.0, shift=None):
     """
     exp_lam = _exp(lam)
     if spec.kind == LEAST_SQUARES:
-        b = train.xty
-        if shift is not None:
-            u, target = shift
-            b = b + (rho * target - u)
-        return train.solve_shifted(2.0 * exp_lam + rho, b)
+        if shift is None:
+            return train.solve_shifted(2.0 * exp_lam + rho)
+        u, target = shift
+        return train.solve_shifted(2.0 * exp_lam + rho, train.xty + (rho * target - u))
 
     # logistic curvature is at most 1/4 of the Gram matrix's
     lip = train.gram_norm / 4.0 + 2.0 * exp_lam + rho
@@ -446,16 +437,18 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
     derivatives, or once the next lam would be an end of the bracket (lam
     itself or an evaluated point), so no point is evaluated twice.
     """
-    xv = _Products(val, ("validation",))
+    _require_role(val, ("validation",))
     _check_w(br.phi1, val)
     lam = float(lam0)
     lo, hi = -math.inf, math.inf
     newton = True
+    xp = None  # val.X @ phi1, taken at the first curvature
     for _ in range(50):
         if ledger.exhausted:
             return lam
-        gw, z = xv(best_response(br, lam))
-        g = _lam_direction(spec, br, lam, w_new, u, rho, val, gw, z)
+        gw = best_response(br, lam)
+        z = val.X @ gw
+        g = _lam_direction(spec, br, lam, w_new - gw, u, rho, val, z)
         ledger.spend(1)
         if abs(g) <= cfg.inner_tol:
             return lam
@@ -463,7 +456,9 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
         if newton:
             if ledger.exhausted:
                 return lam
-            curv = _lam_curvature(spec, br, rho, val, z, xv(br.phi1)[1])
+            if xp is None:
+                xp = val.X @ br.phi1
+            curv = _lam_curvature(spec, br, rho, val, z, xp)
             ledger.spend(1)
             cand = lam - g / curv if curv > 1e-300 else math.nan
             newton = math.isfinite(cand)

@@ -98,7 +98,7 @@ def sho_step(
     g = _grad_w_train(spec, w_hat, train.X @ w_hat, _exp(lam_hat), train)
     br_new = BestResponse._of(br.phi1 - cfg.alpha * lam_hat * g, br.phi0 - cfg.alpha * g)
     gw = best_response(br_new, state.lam)
-    lam_new = state.lam - cfg.beta * float(br_new.phi1 @ _fit_grad(spec, val.X @ gw, val))
+    lam_new = state.lam - cfg.beta * float(br_new.phi1.dot(_fit_grad(spec, val.X @ gw, val)))
     new = ShoState(
         br=br_new,
         lam=lam_new,

@@ -291,6 +291,19 @@ class TestSpectralSolve:
         oracle = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.linalg.norm(x - oracle) <= 1e-8
 
+    @pytest.mark.parametrize("n, d", [(60, 10), (30, 50), (800, 400)])
+    def test_the_memoized_projection_solve_is_the_explicit_one_bit_for_bit(self, n, d):
+        """``solve_shifted(c)`` reuses the memoized ``Q.T @ xty``: the bits of
+        ``solve_shifted(c, xty)`` and of the formula it evaluates, at every
+        shift, the first call included."""
+        train = random_regression(np.random.default_rng(n), n, d)
+        s, q = train.spectrum
+        for c in (2.0 * math.exp(-8.0), 1.0, 2.0 * math.exp(3.0) + 1.0):
+            x = train.solve_shifted(c)
+            assert x.tobytes() == train.solve_shifted(c, train.xty).tobytes()
+            assert x.tobytes() == (q @ ((q.T @ train.xty) / (s + c))).tobytes()
+        assert train.xty_projected is train.xty_projected
+
 
 class TestReportBlock:
     """``report_block`` against per-row ``train_loss``/``val_loss``."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -179,24 +180,32 @@ class TestSimplifiedStep:
                 my_step_simplified(state, ls_spec, train, val, cfg)
 
 
+def square(z):
+    """A merit for ``_backtrack``: ``z * z``, with ``("at", z)`` as its extra."""
+    return z * z, ("at", z)
+
+
 class TestBacktracking:
     def test_halving_rule_hand_trace(self):
-        x, out = _backtrack(1.0, 2.0, 1.0, lambda z: z * z, max_halvings=10)
+        x, extra, out = _backtrack(1.0, 2.0, 1.0, square, max_halvings=10)
         assert x == 0.0
+        assert extra == ("at", 0.0)  # the accepted candidate's
         assert out.step == 0.5
         assert out.evals == 3  # baseline + rejected t=1 + accepted t=0.5
         assert not out.stalled
 
     def test_zero_direction_is_noop(self):
-        x, out = _backtrack(np.array([1.0, 2.0]), np.zeros(2), 1.0,
-                            lambda z: float(z @ z), max_halvings=5)
+        x, extra, out = _backtrack(np.array([1.0, 2.0]), np.zeros(2), 1.0,
+                                   lambda z: (float(z @ z), z), max_halvings=5)
         assert np.array_equal(x, [1.0, 2.0])
+        assert extra is None
         assert out.evals == 0 and not out.stalled
 
     def test_stall_keeps_point(self):
         # at the minimum of z^2 every nonzero step increases the merit
-        x, out = _backtrack(0.0, 1.0, 1.0, lambda z: z * z, max_halvings=8)
+        x, extra, out = _backtrack(0.0, 1.0, 1.0, square, max_halvings=8)
         assert x == 0.0
+        assert extra == ("at", 0.0)  # the kept point's, not the last candidate's
         assert out.stalled
         assert out.evals == 1 + 9  # baseline + max_halvings + 1 trials
 
@@ -535,7 +544,9 @@ class TestProductReuse:
     ])
     def test_matches_the_reference_step_bit_for_bit(self, case, backtracking):
         """200 steps from the initial state, each compared with the reference
-        step taken from the reference's own previous iterate."""
+        step taken from the reference's own previous iterate. The residuals a
+        step returns, which reuse its slacks and dots, are the bits that
+        ``residuals`` computes afresh from the new state."""
         spec, train, val = product_reuse_sets("logistic" if case.endswith("logistic")
                                               else "least_squares")
         cfg = MyhpoConfig(**self.CASES[case])
@@ -550,7 +561,11 @@ class TestProductReuse:
         ref, evals, kinds = state, 0, set()
         for _ in range(200):
             v, w, lam, u, outcomes = reference_step(ref, spec, train, val, cfg, backtracking)
-            state, _ = step(state, spec, train, val, cfg)
+            lam_old = state.lam
+            state, res = step(state, spec, train, val, cfg)
+            fresh = residuals(state, lam_old, cfg.rho)
+            assert res.r.tobytes() == fresh.r.tobytes() and res.s.tobytes() == fresh.s.tobytes()
+            assert same_bits(res.r_norm, fresh.r_norm) and same_bits(res.s_norm, fresh.s_norm)
             assert np.array_equal(state.v, v) and np.array_equal(state.w, w)
             assert state.lam == lam and np.array_equal(state.u, u)
             ref = MyhpoState(v=v, w=w, lam=lam, u=u)
@@ -668,6 +683,26 @@ class TestProductReuse:
                                                 MyhpoConfig(variant="full"))
             assert calls["_fit_curvature"] > 0
             assert products == 2 * calls["_lam_direction"] + 1 == per_step
+
+
+def same_bits(a: float, b: float) -> bool:
+    """``a`` and ``b`` are one double, bit for bit, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def test_a_vector_dot_is_the_matmul_dot_bit_for_bit():
+    """The steps and kernels take 1-d dots as ``a.dot(b)``, the ddot that
+    ``a @ b`` runs: equal bit for bit on 5,000 random pairs of five lengths
+    at scales 1e-100 to 1e100, a tenth of them with an inf or NaN entry."""
+    rng = np.random.default_rng(23)
+    for d in (6, 50, 256, 400, 784):
+        for k in range(1000):
+            a, b = (rng.standard_normal(d) * 10.0 ** rng.uniform(-100, 100) for _ in range(2))
+            if k % 10 == 0:
+                a[rng.integers(d)] = (math.inf, -math.inf, math.nan)[k // 10 % 3]
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                assert same_bits(float(a.dot(b)), float(a @ b))
+                assert same_bits(float(a.dot(a)), float(a @ a))
 
 
 def test_the_residual_norm_is_numpys_bit_for_bit():

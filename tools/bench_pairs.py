@@ -17,9 +17,11 @@ The output file holds ``runs`` (every run, in the order they ran) and
 paired seeds and, per metric, both sides' values by seed, their medians and
 quartiles (``statistics.quantiles``, inclusive), the relative change of the
 change's median (``median_worse_by``, positive when worse in the metric's
-``BENCHMARK.json`` direction), the parent's interquartile range, the pairs
-the change won (ties count for neither side) and, for an end-to-end metric,
-whether ``median_worse_by`` is within its bound. A pair whose two runs
+``BENCHMARK.json`` direction), the median over pairs of change / parent
+(``pair_ratio_median``, which drift between pairs moves less; None if a
+parent value is 0), the parent's interquartile range, the pairs the change
+won (ties count for neither side) and, for an end-to-end metric, whether
+``median_worse_by`` is within its bound. A pair whose two runs
 covered different pool entries is reported on stderr and listed under
 ``warnings``: its metrics average different inputs. An existing output file
 is extended: its runs are kept, and the summary is made over all of them.
@@ -101,12 +103,15 @@ def summarize(runs: list[dict], contract: dict) -> tuple[dict, list[str]]:
             p_med, c_med = statistics.median(parent), statistics.median(change)
             p_q, c_q = _quartiles(parent), _quartiles(change)
             worse = sign * (c_med - p_med) / abs(p_med) if p_med else None
+            ratio = (statistics.median(c / p for p, c in zip(parent, change))
+                     if all(parent) else None)
             metrics[name] = {
                 "parent": parent, "change": change,
                 "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
                 "parent_median": p_med, "change_median": c_med,
                 "parent_q1_q3": p_q, "change_q1_q3": c_q,
-                "median_worse_by": worse, "parent_iqr": p_q[1] - p_q[0],
+                "median_worse_by": worse, "pair_ratio_median": ratio,
+                "parent_iqr": p_q[1] - p_q[0],
                 "bound": bound,
                 "within_bound": None if bound is None or worse is None else worse <= bound,
             }
