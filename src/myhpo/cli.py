@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from inspect import signature
 
 from . import bench
 from .gradcheck import run_gradcheck
@@ -103,7 +104,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_curves)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
-    p.add_argument("--instances", type=int, default=120)
+    p.add_argument("--instances", type=int,
+                   default=signature(run_gradcheck).parameters["n_instances"].default)
     p.set_defaults(func=_cmd_gradcheck)
 
     args = parser.parse_args(argv)

@@ -17,17 +17,17 @@ form (``str`` of a float is its ``repr``), so rereading is bit-exact and
 rerunning a config reproduces byte-identical files. A file that ends
 before its column header does not read.
 
-In memory a ``RunTrace`` keeps its rows as typed columns, ``array('q')``
-for the integer columns and ``array('d')`` for the float ones, plus one
-byte per row whose bits mark the optional cells that are None. The columns
-are held in chunks of ``CHUNK`` rows, so that no buffer outgrows CPython's
-small-object allocator (see the comment at ``CHUNK``): about 97 bytes a
-row, where a list of ``TraceRow`` objects takes about 400.
-``RunTrace.rows`` builds ``TraceRow`` objects from the columns on access,
-so each row it returns is a copy; ``write_csv`` formats lines straight
-from the columns, and ``read_csv`` and ``record_run`` store a block of rows
-with one slice assignment per column. An integer
-outside the 64-bit range is a ``ValueError``.
+In memory a ``RunTrace`` keeps its rows as typed columns, one array per
+column, ``array('q')`` for the integer columns and ``array('d')`` for the
+float ones, plus one ``bytearray`` with a byte per row whose bits mark the
+optional cells that are None: about 85 bytes a row, where a list of
+``TraceRow`` objects takes about 400. ``RunTrace.rows`` builds ``TraceRow``
+objects from the columns on access, so each row it returns is a copy;
+``write_csv`` formats lines straight from the columns. Rows enter a trace
+through the constructor or ``rows`` setter, ``append``, ``record_run`` and
+``read_csv``, each a block at a time through one check: ``n_grad`` must
+strictly increase, and an integer outside the 64-bit range is a
+``ValueError``. A block that fails the check stores none of its rows.
 
 ``record_run`` is the one run loop behind every iterative solver: it
 records the rows a solver yields and turns blowup and solver stop
@@ -46,8 +46,7 @@ import threading
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
-from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -82,21 +81,14 @@ class TraceRow:
 _FIELDS = fields(TraceRow)
 TRACE_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in _FIELDS)
 _values = attrgetter(*(f.name for f in _FIELDS))
-# the store: each chunk of a trace holds CHUNK rows, as one array per column of
-# the column's typecode and a bytearray with one byte per row whose bit
-# _NONE_BITS[k] marks column k's cell None (its stored value is then 0.0)
+# the store: one array per column of the column's typecode, then a bytearray
+# with one byte per row whose bit _NONE_BITS[k] marks column k's cell None
+# (its stored value is then 0.0)
 _TYPECODES = tuple("q" if f.type == "int" else "d" for f in _FIELDS)
 _optional = [f.type == "float | None" for f in _FIELDS]
 _NONE_BITS = tuple(1 << sum(_optional[:k]) if opt else 0 for k, opt in enumerate(_optional))
 _OPTIONAL = tuple((k, bit) for k, bit in enumerate(_NONE_BITS) if bit)
 _LOSSES = slice(3, 6)  # train_loss, val_loss, test_loss
-# A chunk's column is 64 cells of 8 bytes: 512 bytes, the largest block that
-# CPython's small-object allocator serves from its own arenas. A column kept
-# in one growing buffer lives on the malloc heap instead, where a few KB that
-# outlive a large array's free can take part of its slot, so that the next
-# array of that size extends the heap: logistic-784 read 4 MB more peak RSS.
-CHUNK = 64
-_BLANK = tuple(array(code, [0]) * CHUNK for code in _TYPECODES)  # copied exactly
 
 
 def _escape(value) -> str:
@@ -110,34 +102,28 @@ def _unescape(value: str) -> str:
     return re.sub(r"\\(.)", lambda m: _ESCAPES.get(m[1], m[0]), value)
 
 
-def _count(chunks: list[list]) -> int:
-    """The rows in ``chunks``: every chunk but the last is full."""
-    return (len(chunks) - 1) * CHUNK + len(chunks[-1][-1]) if chunks else 0
-
-
 class TraceRows(Sequence):
     """The rows of a trace, read from its columns: each row it returns is a new
     ``TraceRow``, so changing one leaves the trace as it was."""
 
-    __slots__ = ("_chunks",)
+    __slots__ = ("_columns",)
 
-    def __init__(self, chunks: list[list]):
-        self._chunks = chunks
+    def __init__(self, columns: list):
+        self._columns = columns
 
     def __len__(self) -> int:
-        return _count(self._chunks)
+        return len(self._columns[-1])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[k] for k in range(*index.indices(len(self)))]
         k = range(len(self))[index]
-        chunk, j = self._chunks[k // CHUNK], k % CHUNK
-        none = chunk[-1][j]
-        return TraceRow(*[None if none & bit else column[j]
-                          for column, bit in zip(chunk, _NONE_BITS)])
+        none = self._columns[-1][k]
+        return TraceRow(*[None if none & bit else column[k]
+                          for column, bit in zip(self._columns, _NONE_BITS)])
 
     def __iter__(self):
-        return map(TraceRow, *_cells(self._chunks, None))
+        return map(TraceRow, *_cells(self._columns, None))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -148,18 +134,16 @@ class TraceRows(Sequence):
         return f"TraceRows({list(self)!r})"
 
 
-def _cells(chunks: list[list], empty, cell=None) -> list:
+def _cells(columns: list, empty, cell=None) -> list:
     """Each column as an iterable of its cells, ``cell`` applied to each value
     and ``empty`` in place of each None cell."""
-    n = _count(chunks)
-    none = b"".join(chunk[-1] for chunk in chunks)
+    none = columns[-1]
     marks = set(none)
     out = []
-    for c, bit in enumerate(_NONE_BITS):
+    for values, bit in zip(columns, _NONE_BITS):
         if bit and marks and all(mark & bit for mark in marks):
-            out.append([empty] * n)
+            out.append([empty] * len(none))
             continue
-        values = islice(chain.from_iterable(map(itemgetter(c), chunks)), n)
         if cell is not None:
             values = map(cell, values)
         if any(mark & bit for mark in marks):
@@ -168,10 +152,10 @@ def _cells(chunks: list[list], empty, cell=None) -> list:
     return out
 
 
-def _store(chunks: list[list], columns: list[Sequence]):
-    """Append rows, given as one sequence of values per column, to ``chunks``:
-    one slice assignment per column of each chunk they reach. A value that
-    does not fit its column raises ``ValueError`` and stores none of the rows."""
+def _store(store: list, columns: list[Sequence]):
+    """Append rows, given as one sequence of values per column, to the arrays
+    of ``store``. A value that does not fit its column raises ``ValueError``
+    and stores none of the rows."""
     n = len(columns[0])
     none = bytearray(n)
     for k, bit in _OPTIONAL:
@@ -186,34 +170,28 @@ def _store(chunks: list[list], columns: list[Sequence]):
             arrays.append(array(code, values))
         except OverflowError:
             raise ValueError(f"{name} is outside the 64-bit integer range") from None
-    start = 0
-    while start < n:
-        if not chunks or len(chunks[-1][-1]) == CHUNK:
-            chunks.append([blank[:] for blank in _BLANK] + [bytearray()])
-        chunk = chunks[-1]
-        j = len(chunk[-1])
-        stop = min(n, start + CHUNK - j)
-        for column, values in zip(chunk, arrays):
-            column[j:j + stop - start] = values[start:stop]
-        chunk[-1] += none[start:stop]  # the rows count from here
-        start = stop
+    for column, values in zip(store, arrays + [none]):
+        column += values
 
 
 def _parse(rows: list[list[str]]) -> list[list]:
-    """The chunks of rows of text cells; a bad cell raises ``ValueError``."""
+    """Rows of text cells as one list of values per column (an empty list for
+    no rows); a bad cell raises ``ValueError``."""
     for cells in rows:
         if len(cells) != len(TRACE_COLUMNS):
             raise ValueError(f"{len(cells)} cells, expected {len(TRACE_COLUMNS)}")
-    chunks: list[list] = []
-    if rows:  # an empty optional cell is None
-        _store(chunks, [[float(cell) if cell else None for cell in cells] if bit and "" in cells
-                        else list(map(float if code == "d" else int, cells))
-                        for code, bit, cells in zip(_TYPECODES, _NONE_BITS, zip(*rows))])
-    return chunks
+    # an empty optional cell is None
+    return [[float(cell) if cell else None for cell in cells] if bit and "" in cells
+            else list(map(float if code == "d" else int, cells))
+            for code, bit, cells in zip(_TYPECODES, _NONE_BITS, zip(*rows))]
 
 
 class RunTrace:
-    """A run's header and its rows, kept as typed columns in chunks of ``CHUNK`` rows."""
+    """A run's header and its rows, kept as one typed array per column.
+
+    Every row enters through the checked ``_extend``; rows assigned to
+    ``rows`` that fail its check leave the trace with none.
+    """
 
     _HEADER = ("solver", "label", "seed", "meta", "prng", "diverged", "note")
 
@@ -227,14 +205,12 @@ class RunTrace:
 
     @property
     def rows(self) -> TraceRows:
-        return TraceRows(self._chunks)
+        return TraceRows(self._columns)
 
     @rows.setter
     def rows(self, rows: Iterable[TraceRow]):
-        self._chunks: list[list] = []
-        values = map(_values, rows)
-        while batch := list(islice(values, CHUNK)):
-            _store(self._chunks, list(zip(*batch)))
+        self._columns = [array(code) for code in _TYPECODES] + [bytearray()]
+        self._extend(list(zip(*map(_values, rows))))
 
     def __eq__(self, other):
         if not isinstance(other, RunTrace):
@@ -247,15 +223,15 @@ class RunTrace:
         return f"RunTrace({header}, rows=<{len(self.rows)} rows>)"
 
     def _extend(self, columns: list[Sequence]):
-        """``_store`` the rows of ``columns``; their ``n_grad`` must strictly increase
+        """``_store`` the rows of ``columns``, one sequence of values per column
+        (an empty list for no rows); their ``n_grad`` must strictly increase
         from the last row's."""
-        n_grad = list(columns[1])
-        k = _count(self._chunks) - 1
-        if k >= 0:
-            n_grad.insert(0, self._chunks[k // CHUNK][1][k % CHUNK])
+        if not columns:
+            return
+        n_grad = [*self._columns[1][-1:], *columns[1]]
         if any(a >= b for a, b in zip(n_grad, n_grad[1:])):
             raise ValueError("n_grad must be strictly increasing")
-        _store(self._chunks, columns)
+        _store(self._columns, columns)
 
     def append(self, row: TraceRow):
         self._extend([[value] for value in _values(row)])
@@ -267,10 +243,9 @@ class RunTrace:
 
     def final_finite_row(self) -> TraceRow | None:
         """Last row whose train and validation losses are finite."""
-        chunks = self._chunks
-        for k in range(_count(chunks) - 1, -1, -1):
-            chunk, j = chunks[k // CHUNK], k % CHUNK
-            if math.isfinite(chunk[3][j]) and math.isfinite(chunk[4][j]):
+        train, val = self._columns[3], self._columns[4]
+        for k in range(len(train) - 1, -1, -1):
+            if math.isfinite(train[k]) and math.isfinite(val[k]):
                 return self.rows[k]
         return None
 
@@ -285,7 +260,7 @@ class RunTrace:
         ] + [(f"meta.{key}", self.meta[key]) for key in sorted(self.meta)]
         lines = [f"# {key} = {_escape(value)}" for key, value in header]
         lines.append(",".join(TRACE_COLUMNS))
-        lines += map(",".join, zip(*_cells(self._chunks, "", str)))
+        lines += map(",".join, zip(*_cells(self._columns, "", str)))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -318,16 +293,6 @@ class RunTrace:
                 rows.append(line.split(","))
         if not saw_columns:
             raise ValueError(f"{path}: the trace ends before its column line")
-        try:
-            chunks = _parse(rows)
-        except ValueError:
-            # name the first bad row, and in it the first bad cell
-            for k, cells in enumerate(rows, start=1):
-                try:
-                    _parse([cells])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: trace row {k}: {exc}") from None
-            raise
         trace = cls(
             solver=header.get("solver", ""),
             label=header.get("label", ""),
@@ -337,7 +302,16 @@ class RunTrace:
             diverged=header.get("diverged", "false") == "true",
             note=header.get("note", ""),
         )
-        trace._chunks = chunks
+        try:
+            trace._extend(_parse(rows))
+        except ValueError:
+            # name the first bad row, and in it the first bad cell
+            for k, cells in enumerate(rows, start=1):
+                try:
+                    trace._extend(_parse([cells]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: trace row {k}: {exc}") from None
+            raise
         return trace
 
 

@@ -601,8 +601,12 @@ class TestTraceIO:
     @settings(deadline=None)  # each example writes and reads a file
     @given(st.lists(TRACE_ROW_CELLS, max_size=5))
     def test_rows_survive_write_and_read(self, rows):
+        """Each drawn ``n_grad`` is a step, summed so that ``n_grad`` strictly
+        increases as the rows require."""
         t = RunTrace(solver="myhpo_bt", label="bt", seed=0)
-        t.rows = [TraceRow(*cells) for cells in rows]
+        n_grad = 0
+        t.rows = [TraceRow(iter_, n_grad := n_grad + 1 + step, *rest)
+                  for iter_, step, *rest in rows]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.trace.csv")
             t.write_csv(path)

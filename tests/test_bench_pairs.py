@@ -59,11 +59,25 @@ def test_a_higher_is_better_metric_counts_a_fall_as_worse():
     assert summary["ls-stability"]["metrics"]["grad_per_s"]["within_bound"] is False
 
 
+@pytest.mark.parametrize("parent, change, verdict", [
+    # parent IQR 2.5 of a median 100: settled; the change's median is 10% or 30% worse
+    ([95.0, 100.0, 100.0, 105.0], [110.0, 110.0, 110.0, 110.0], "within_bound"),
+    ([95.0, 100.0, 100.0, 105.0], [130.0, 130.0, 130.0, 130.0], "worse"),
+    # parent IQR 85 of a median 100, past the 0.25 bound
+    ([50.0, 60.0, 140.0, 150.0], [105.0, 105.0, 105.0, 105.0], "unresolved"),
+    ([50.0, 60.0, 140.0, 150.0], [40.0, 40.0, 40.0, 40.0], "within_bound"),  # beats every run
+    ([50.0, 60.0, 140.0, 150.0], [200.0, 200.0, 200.0, 200.0], "unresolved"),
+])
+def test_the_verdict_on_an_end_to_end_metric(parent, change, verdict):
+    summary, _ = bench_pairs.summarize(paired(parent, change), CONTRACT)
+    assert summary["ls-stability"]["metrics"]["us_per_iter"]["verdict"] == verdict
+
+
 def test_a_per_layer_metric_has_no_bound_and_a_zero_parent_no_ratio():
     summary, _ = bench_pairs.summarize(
         paired([0.0, 4.0, 4.0], [1.0, 4.0, 2.0], name="trace.rows"), CONTRACT)
     m = summary["ls-stability"]["metrics"]["trace.rows"]
-    assert m["bound"] is None and m["within_bound"] is None
+    assert m["bound"] is None and m["within_bound"] is None and m["verdict"] is None
     assert m["pair_ratio_median"] is None
     assert m["change_wins"] == 1  # the tie counts for neither side
 

@@ -30,7 +30,7 @@ from myhpo.model import (
 )
 from myhpo.moreau import MyhpoConfig, MyhpoState, my_step_full, myhpo_run
 from myhpo.sho import ShoConfig, ShoState, sho_run
-from myhpo.trace import _NONE_BITS, BLOCK, CHUNK, RunTrace, TraceRow, record_run
+from myhpo.trace import _NONE_BITS, BLOCK, RunTrace, TraceRow, record_run
 from conftest import TRACE_ROW_CELLS, random_regression
 
 SPEC = LossSpec("least_squares")
@@ -258,11 +258,11 @@ def scripted_rows(n, first, cut):
 @pytest.mark.parametrize("with_test", [True, False], ids=["test", "no-test"])
 @pytest.mark.parametrize("given", [0, 5], ids=["empty", "5-rows-before"])
 @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
-@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
 def test_a_reported_block_is_stored_as_its_rows_one_by_one(n, cut, given, with_test):
     """``record_run`` stores each block a column at a time: the trace equals
     the one that appends each row, its losses set, one by one, with the same
-    None-mask bits, also when the block spans two chunks."""
+    None-mask bits, also after rows given to the constructor."""
     first = given + 1
     cut_at = first + n - 2 if cut else None  # the next to last row
 
@@ -282,11 +282,11 @@ def test_a_reported_block_is_stored_as_its_rows_one_by_one(n, cut, given, with_t
     assert trace.diverged == cut
     assert len(trace.rows) == given + (n - 2 if cut else n)
     assert [row.as_cells() for row in trace.rows] == [row.as_cells() for row in expected.rows]
-    assert ([[bytes(column) for column in chunk] for chunk in trace._chunks]
-            == [[bytes(column) for column in chunk] for chunk in expected._chunks])
+    assert ([bytes(column) for column in trace._columns]
+            == [bytes(column) for column in expected._columns])
     for k, row in enumerate(expected.rows):
         bits = sum(bit for value, bit in zip(astuple(row), _NONE_BITS) if value is None)
-        assert trace._chunks[k // CHUNK][-1][k % CHUNK] == bits
+        assert trace._columns[-1][k] == bits
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -311,13 +311,28 @@ def myhpo_row(i):
                     1e-3 / i, 2e-3 / i, 0.1 * i, 6 * i)
 
 
-def test_a_trace_holds_a_row_in_at_most_100_bytes():
+def appended(trace, n):
+    for i in range(1, n + 1):
+        trace.append(myhpo_row(i))
+    return trace
+
+
+def recorded(trace, n):
+    """``record_run`` stores the rows in blocks, the path every solver run takes."""
+    def report(W, lams):
+        return W[:, 0].copy(), W[:, 1].copy(), None
+
+    rows = ((row, np.array([row.train_loss, row.val_loss]))
+            for row in map(myhpo_row, range(1, n + 1)))
+    return record_run(trace, rows, report)
+
+
+@pytest.mark.parametrize("store", [appended, recorded])
+def test_a_trace_holds_a_row_in_at_most_100_bytes(store):
     n = 10_000
     tracemalloc.start()
     try:
-        trace = RunTrace("myhpo_bt", "bt", 0)
-        for i in range(1, n + 1):
-            trace.append(myhpo_row(i))
+        trace = store(RunTrace("myhpo_bt", "bt", 0), n)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -365,6 +380,25 @@ def test_append_checks_n_grad_after_rows_are_assigned():
             trace.append(row)
     trace.append(myhpo_row(4))
     assert trace.rows == [myhpo_row(1), myhpo_row(3), myhpo_row(4)]
+
+
+def test_rows_given_with_a_backward_n_grad_are_refused():
+    rows = [TraceRow(1, 4, 0.0), TraceRow(2, 2, 0.0), TraceRow(3, 2, 0.0)]
+    with pytest.raises(ValueError, match="^n_grad must be strictly increasing"):
+        RunTrace("sho", "sho", 0, rows=rows)
+    trace = RunTrace("sho", "sho", 0, rows=rows[:1])
+    with pytest.raises(ValueError, match="^n_grad must be strictly increasing"):
+        trace.rows = rows
+    assert trace.rows == []  # none of the assigned rows is stored
+
+
+def test_a_file_whose_n_grad_runs_backward_does_not_read(tmp_path):
+    path = tmp_path / "t.trace.csv"
+    RunTrace("sho", "sho", 0, rows=[myhpo_row(1), myhpo_row(2), myhpo_row(3)]).write_csv(path)
+    path.write_text(path.read_text().replace("\n2,4,", "\n2,2,"))
+    with pytest.raises(ValueError, match=r"t\.trace\.csv: trace row 2: n_grad must be strictly "
+                                         "increasing$"):
+        RunTrace.read_csv(path)
 
 
 def test_an_integer_past_64_bits_is_a_named_error(tmp_path):

@@ -21,7 +21,11 @@ change's median (``median_worse_by``, positive when worse in the metric's
 (``pair_ratio_median``, which drift between pairs moves less; None if a
 parent value is 0), the parent's interquartile range, the pairs the change
 won (ties count for neither side) and, for an end-to-end metric, whether
-``median_worse_by`` is within its bound. A pair whose two runs
+``median_worse_by`` is within its bound and a ``verdict``: ``unresolved``
+when the parent's interquartile range exceeds the bound, relative to its
+median, and not every change run beats every parent run; otherwise
+``worse`` when ``median_worse_by`` exceeds the bound; otherwise
+``within_bound``. A pair whose two runs
 covered different pool entries is reported on stderr and listed under
 ``warnings``: its metrics average different inputs. An existing output file
 is extended: its runs are kept, and the summary is made over all of them.
@@ -75,6 +79,17 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
+def _verdict(parent: list[float], change: list[float], sign: float, worse, bound) -> str | None:
+    """Whether an end-to-end metric is ``unresolved``, ``worse`` or ``within_bound``."""
+    if bound is None or worse is None:
+        return None
+    p_q = _quartiles(parent)
+    spread = (p_q[1] - p_q[0]) / abs(statistics.median(parent))
+    if spread > bound and not all(sign * (c - p) < 0 for c in change for p in parent):
+        return "unresolved"
+    return "worse" if worse > bound else "within_bound"
+
+
 def summarize(runs: list[dict], contract: dict) -> tuple[dict, list[str]]:
     """The per-workload summary of the paired runs, and the coverage warnings."""
     rules = {m["name"]: (m["better"], m.get("bound"))
@@ -114,6 +129,7 @@ def summarize(runs: list[dict], contract: dict) -> tuple[dict, list[str]]:
                 "parent_iqr": p_q[1] - p_q[0],
                 "bound": bound,
                 "within_bound": None if bound is None or worse is None else worse <= bound,
+                "verdict": _verdict(parent, change, sign, worse, bound),
             }
         summary[key] = {"pairs": len(pairs), "seeds": list(pairs), "metrics": metrics}
     return summary, warnings
