@@ -9,6 +9,8 @@ backtracking takes much larger steps safely and ends with better losses.
 Run:  python demos/stability_frontier.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from myhpo import (
@@ -20,7 +22,7 @@ from myhpo import (
     myhpo_run,
     sho_run,
 )
-from myhpo.bench import emit_curves
+from myhpo.bench import render_curves
 from myhpo.data import SplitSpec, SyntheticSpec, split, synthesize
 
 BUDGET = 2000
@@ -57,5 +59,6 @@ for t in traces:
     print(f"{t.label:<14} {status:<9} {row.train_loss:10.4f} {row.val_loss:10.4f} "
           f"{test_cell} {row.lam:8.2f}")
 
-path = emit_curves(traces, "n_grad", "stability_frontier_curves.csv")
+path = Path("stability_frontier_curves.csv")
+path.write_text(render_curves(traces, "n_grad"), "utf-8")
 print(f"\nper-iteration curves written to {path}")

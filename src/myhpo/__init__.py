@@ -11,85 +11,31 @@ the validation loss through an affine best-response hypernetwork:
 - :mod:`myhpo.data` -- loaders, splits, and the ill-conditioned generator;
 - :mod:`myhpo.bench` -- the budgeted benchmark harness behind the
   ``myhpo-bench`` command line.
+
+The package re-exports the names its examples use; every other public
+name is imported from its module.
 """
 
-from .model import (
-    LEAST_SQUARES,
-    LOGISTIC,
-    BestResponse,
-    Dataset,
-    DimensionMismatch,
-    LossSpec,
-    NonFiniteIterate,
-    SplitDegenerate,
-    best_response,
-    grad_lambda_val,
-    grad_w_train,
-    grad_w_val,
-    split_best_response,
-    train_loss,
-    val_loss,
-)
-from .moreau import (
-    InnerSolveFailed,
-    MyhpoConfig,
-    MyhpoState,
-    Residuals,
-    check_stationarity,
-    my_step_backtracking,
-    my_step_full,
-    my_step_simplified,
-    myhpo_run,
-    residuals,
-)
-from .search import (
-    SearchConfig,
-    SearchResult,
-    grid_candidates,
-    random_candidates,
-    search_run,
-    train_model,
-)
-from .sho import ShoConfig, ShoState, sho_run, sho_step
-from .trace import RunTrace, TraceRow
+from .model import Dataset, LossSpec, val_loss
+from .moreau import MyhpoConfig, MyhpoState, check_stationarity, my_step_full, myhpo_run
+from .search import SearchConfig, grid_candidates, random_candidates, search_run
+from .sho import ShoConfig, ShoState, sho_run
 
 __all__ = [
-    "LEAST_SQUARES",
-    "LOGISTIC",
-    "BestResponse",
     "Dataset",
-    "DimensionMismatch",
-    "InnerSolveFailed",
     "LossSpec",
     "MyhpoConfig",
     "MyhpoState",
-    "NonFiniteIterate",
-    "Residuals",
-    "RunTrace",
     "SearchConfig",
-    "SearchResult",
     "ShoConfig",
     "ShoState",
-    "SplitDegenerate",
-    "TraceRow",
-    "best_response",
     "check_stationarity",
-    "grad_lambda_val",
-    "grad_w_train",
-    "grad_w_val",
     "grid_candidates",
-    "my_step_backtracking",
     "my_step_full",
-    "my_step_simplified",
     "myhpo_run",
     "random_candidates",
-    "residuals",
     "search_run",
     "sho_run",
-    "sho_step",
-    "split_best_response",
-    "train_loss",
-    "train_model",
     "val_loss",
 ]
 

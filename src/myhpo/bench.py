@@ -46,7 +46,8 @@ shared budget and larger ``n_s`` deliberately oversubscribes it; the
 oversubscription is visible in the trace ledger.
 
 Each (solver, repetition) pair writes one ``*.trace.csv`` file. Rerunning
-a config reproduces the files byte for byte.
+a config with the same package, the same numpy and BLAS build and the same
+BLAS thread count reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -431,7 +432,8 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True):
 
     Returns ``(traces, summary)``. With ``write=True`` each trace lands in
     ``cfg.output_dir`` as ``<label>__rep<r>.trace.csv`` next to the
-    resolved-config log; rerunning reproduces the files byte for byte.
+    resolved-config log; rerunning with the same package, numpy and BLAS
+    build and BLAS thread count reproduces the files byte for byte.
     A failing solver block never aborts the experiment: the failure is
     recorded in its trace note instead.
     """
@@ -575,13 +577,6 @@ def _aligned(grid: list[list[str]]) -> str:
                    for row in grid)
 
 
-def emit_summary(table: SummaryTable, fmt: str, path) -> str:
-    """Write the rendered summary to ``path`` and return the path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_summary(table, fmt))
-    return str(path)
-
-
 def render_curves(traces: list[RunTrace], x_axis: str = "n_grad") -> str:
     """Long-format CSV of per-iteration losses, ready for plotting tools.
 
@@ -607,12 +602,6 @@ def _csv_text(rows) -> str:
     return out.getvalue()
 
 
-def emit_curves(traces: list[RunTrace], x_axis: str, path) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_curves(traces, x_axis))
-    return str(path)
-
-
 def read_traces(directory) -> list[RunTrace]:
     """Load every ``*.trace.csv`` under ``directory`` in deterministic order."""
     names = sorted(n for n in os.listdir(directory) if n.endswith(".trace.csv"))
@@ -631,14 +620,12 @@ def load_reference_results() -> list[dict]:
     return list(reader)
 
 
-def render_reference(dataset: str | None = None) -> str:
+def render_reference(dataset: str) -> str:
     rows = load_reference_results()
-    if dataset is not None:
-        matching = [r for r in rows if r["dataset"] == dataset]
-        if not matching:
-            names = sorted({r["dataset"] for r in rows})
-            raise ValueError(f"unknown reference dataset {dataset!r}; have {names}")
-        rows = matching
+    matching = [r for r in rows if r["dataset"] == dataset]
+    if not matching:
+        names = sorted({r["dataset"] for r in rows})
+        raise ValueError(f"unknown reference dataset {dataset!r}; have {names}")
     cols = ["dataset", "method", "setting", "train", "val", "test", "n_g"]
-    grid = [cols] + [[r[c] for c in cols] for r in rows]
+    grid = [cols] + [[r[c] for c in cols] for r in matching]
     return "published reference values (x1e-2), not recomputed:\n" + _aligned(grid)

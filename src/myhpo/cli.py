@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from inspect import signature
+from pathlib import Path
 
 from . import bench
 from .gradcheck import run_gradcheck
@@ -27,9 +28,10 @@ def _config(args) -> bench.ExperimentConfig:
 
 def _write_summary(summary, directory) -> None:
     """Write ``summary.csv`` and ``summary.txt`` to ``directory`` and print the text."""
-    bench.emit_summary(summary, "csv", os.path.join(directory, "summary.csv"))
-    bench.emit_summary(summary, "aligned-text", os.path.join(directory, "summary.txt"))
-    print(bench.render_summary(summary, "aligned-text"), end="")
+    text = bench.render_summary(summary, "aligned-text")
+    Path(directory, "summary.csv").write_text(bench.render_summary(summary, "csv"), "utf-8")
+    Path(directory, "summary.txt").write_text(text, "utf-8")
+    print(text, end="")
 
 
 def _cmd_run(args) -> int:
@@ -63,7 +65,7 @@ def _cmd_curves(args) -> int:
         print(f"no trace files under {args.directory}", file=sys.stderr)
         return 2
     path = os.path.join(args.directory, f"curves_{args.x}.csv")
-    bench.emit_curves(traces, args.x, path)
+    Path(path).write_text(bench.render_curves(traces, args.x), "utf-8")
     print(f"wrote {path}")
     return 0
 

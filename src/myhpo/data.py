@@ -189,6 +189,8 @@ class SplitSpec:
                 raise ValueError("fractions must lie in (0, 1)")
             if self.train_fraction + self.val_fraction >= 1:
                 raise ValueError("train and validation fractions must sum below 1")
+        elif min(self.counts) < 1:
+            raise InfeasibleSplit(f"split sizes {tuple(self.counts)} include an empty split")
 
 
 def _split_counts(n: int, spec: SplitSpec) -> tuple[int, int, int]:

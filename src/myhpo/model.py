@@ -84,6 +84,10 @@ class NonFiniteIterate(FloatingPointError):
     """A solver update produced NaN or Inf."""
 
 
+class InnerSolveFailed(RuntimeError):
+    """An inner minimization exhausted its iteration cap above tolerance."""
+
+
 @dataclass
 class Dataset:
     """Feature matrix plus targets for one split.

@@ -90,11 +90,12 @@ from .model import (
     _fit_curvature,
     _fit_grad,
     _fit_loss,
+    _grad_w_train,
     _require_role,
     BestResponse,
     Dataset,
+    InnerSolveFailed,
     LossSpec,
-    SplitDegenerate,
     best_response,
     grad_w_train,
     grad_w_val,
@@ -112,10 +113,6 @@ VARIANT_SOLVERS = {
     "full": "myhpo_full",
 }
 VARIANTS = tuple(VARIANT_SOLVERS)
-
-
-class InnerSolveFailed(RuntimeError):
-    """An inner minimization exhausted its iteration cap above tolerance."""
 
 
 @dataclass
@@ -384,8 +381,8 @@ class _Ledger:
         self.spent = 0
         self.cap = cap
 
-    def spend(self, units: int = 1):
-        self.spent += units
+    def spend(self):
+        self.spent += 1
 
     @property
     def exhausted(self) -> bool:
@@ -413,11 +410,11 @@ def _minimize_train(spec, lam, train, x0, cfg, ledger, rho=0.0, shift=None):
     for _ in range(cfg.inner_max_iters):
         if ledger.exhausted:
             return x
-        g = grad_w_train(spec, x, lam, train)
+        g = _grad_w_train(spec, x, train.X @ x, exp_lam, train)
         if shift is not None:
             u, target = shift
             g = g + u + rho * (x - target)
-        ledger.spend(1)
+        ledger.spend()
         if float(np.linalg.norm(g)) <= cfg.inner_tol:
             return x
         x = x - g / lip
@@ -449,7 +446,7 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
         gw = best_response(br, lam)
         z = val.X @ gw
         g = _lam_direction(spec, br, lam, w_new - gw, u, rho, val, z)
-        ledger.spend(1)
+        ledger.spend()
         if abs(g) <= cfg.inner_tol:
             return lam
         lo, hi = (lo, lam) if g > 0 else (lam, hi)
@@ -459,7 +456,7 @@ def _minimize_lambda(spec, br, w_new, u, lam0, rho, val, cfg, ledger):
             if xp is None:
                 xp = val.X @ br.phi1
             curv = _lam_curvature(spec, br, rho, val, z, xp)
-            ledger.spend(1)
+            ledger.spend()
             cand = lam - g / curv if curv > 1e-300 else math.nan
             newton = math.isfinite(cand)
         if not newton:
@@ -484,20 +481,23 @@ def my_step_full(
 
     ``grad_cap`` bounds the ledger units this step may spend; inner solves
     stop early once it is hit. All four blocks always execute, so a
-    truncated step still leaves a consistent state.
+    truncated step still leaves a consistent state. The training split's
+    role and the state's shapes are checked once, before any solve.
     """
+    _require_role(train, ("train",))
+    v, w, u = (_check_w(x, train) for x in (state.v, state.w, state.u))
     lam = state.lam
     ledger = _Ledger(grad_cap)
 
-    v_new = _minimize_train(spec, lam, train, state.v, cfg, ledger)
+    v_new = _minimize_train(spec, lam, train, v, cfg, ledger)
     br = split_best_response(v_new, lam)
     gw_old = best_response(br, lam)
 
     w_new = _minimize_train(
-        spec, lam, train, state.w, cfg, ledger,
-        rho=cfg.rho, shift=(state.u, gw_old),
+        spec, lam, train, w, cfg, ledger,
+        rho=cfg.rho, shift=(u, gw_old),
     )
-    lam_new = _minimize_lambda(spec, br, w_new, state.u, lam, cfg.rho, val, cfg, ledger)
+    lam_new = _minimize_lambda(spec, br, w_new, u, lam, cfg.rho, val, cfg, ledger)
     return _advance(state, v_new, w_new, lam_new, br, cfg.rho, ledger.spent)
 
 
@@ -537,7 +537,6 @@ def myhpo_run(
                      meta={**asdict(cfg), "budget": budget, "lambda0": init.lam, **(meta or {})})
     rows = _myhpo_rows(init, spec, train, val, cfg, budget)
     return record_run(trace, rows, lambda W, lams: report_block(spec, W, lams, train, val, test),
-                      stop_errors=(SplitDegenerate, InnerSolveFailed),
                       offload=offload_report(train, val, test))
 
 

@@ -13,9 +13,10 @@ comments, followed by the column header: the ``TraceRow`` fields in order,
 with ``lam`` written as ``lambda``. Header values escape backslash,
 carriage return and line feed as ``\\``, ``\r`` and ``\n``, so any string
 reads back unchanged. Floats are written in their shortest round-trip
-form (``str`` of a float is its ``repr``), so rereading is bit-exact and
-rerunning a config reproduces byte-identical files. A file that ends
-before its column header does not read.
+form (``str`` of a float is its ``repr``), so rereading is bit-exact, and
+rerunning a config with the same package, the same numpy and BLAS build
+and the same BLAS thread count reproduces byte-identical files. A file
+that ends before its column header does not read.
 
 In memory a ``RunTrace`` keeps its rows as typed columns, one array per
 column, ``array('q')`` for the integer columns and ``array('d')`` for the
@@ -30,12 +31,13 @@ strictly increase, and an integer outside the 64-bit range is a
 ``ValueError``. A block that fails the check stores none of its rows.
 
 ``record_run`` is the one run loop behind every iterative solver: it
-records the rows a solver yields and turns blowup and solver stop
-exceptions into the trace's divergence flag and note. Losses are reported
-a block of ``BLOCK`` rows at a time, one matrix product per split for the
-whole block, so a run's solver may step up to ``BLOCK - 1`` rows (``2 *
-BLOCK - 1`` with a worker thread) past the first non-finite loss; the trace
-is cut at that row and the steps past it are discarded.
+records the rows a solver yields and turns blowup into the trace's
+divergence flag, and a degenerate split or a failed inner solve into its
+note. Losses are reported a block of ``BLOCK`` rows at a time, one matrix
+product per split for the whole block, so a run's solver may step up to
+``BLOCK - 1`` rows (``2 * BLOCK - 1`` with a worker thread) past the first
+non-finite loss; the trace is cut at that row and the steps past it are
+discarded.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .model import NonFiniteIterate
+from .model import InnerSolveFailed, NonFiniteIterate, SplitDegenerate
 
 # rows whose losses one report call evaluates together
 BLOCK = 64
@@ -316,7 +318,7 @@ class RunTrace:
 
 
 def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],
-               report: Callable, stop_errors: tuple = (), offload: bool = False) -> RunTrace:
+               report: Callable, offload: bool = False) -> RunTrace:
     """Append the rows a solver run yields to ``trace`` and return it.
 
     The run yields each row, its losses unset, with the iterate they belong
@@ -324,18 +326,19 @@ def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],
     one ``report(W, lams)`` call, the iterates as the rows of ``W``, which
     returns per-row train, validation and test (or None) losses as
     ``model.report_block`` does. The buffer is flushed when it is full, when
-    the run ends, and before a ``NonFiniteIterate`` or stop exception is
-    handled. With ``offload`` a full buffer is reported on its own thread and
-    joined at the next flush, raising what ``report`` raised, or on exit.
+    the run ends, and before a ``NonFiniteIterate``, ``SplitDegenerate`` or
+    ``InnerSolveFailed`` is handled. With ``offload`` a full buffer is
+    reported on its own thread and joined at the next flush, raising what
+    ``report`` raised, or on exit.
 
     The trace is cut at the first row with a non-finite train or validation
     loss, which marks it diverged; the up to ``BLOCK - 1`` (``2 * BLOCK - 1``
     with ``offload``) steps the solver took past that row are discarded. A
     ``NonFiniteIterate`` raised by the run marks the trace diverged and
-    keeps the rows recorded so far. An exception in ``stop_errors`` ends the
-    run with ``"<ExcName>: <message>"`` in the trace note, unless a buffered
-    row has already cut the trace. Blowup is detected by isfinite checks, so
-    numpy overflow noise is silenced.
+    keeps the rows recorded so far. A ``SplitDegenerate`` or
+    ``InnerSolveFailed`` ends the run with ``"<ExcName>: <message>"`` in the
+    trace note, unless a buffered row has already cut the trace. Blowup is
+    detected by isfinite checks, so numpy overflow noise is silenced.
     """
     pending: list[TraceRow] = []
     iterates = None  # row k holds the iterate of pending[k]
@@ -394,7 +397,7 @@ def record_run(trace: RunTrace, rows: Iterable[tuple[TraceRow, np.ndarray]],
         except NonFiniteIterate:
             flush()
             trace.diverged = True
-        except stop_errors as exc:
+        except (SplitDegenerate, InnerSolveFailed) as exc:
             if flush():
                 trace.note = f"{type(exc).__name__}: {exc}"
         finally:

@@ -1,6 +1,7 @@
-"""``tools/bench_pairs.summarize`` on synthetic paired runs, without running perfbench."""
+"""``tools/bench_pairs`` on synthetic paired runs and checkouts, without running perfbench."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -101,3 +102,27 @@ def test_a_pair_that_covered_different_pool_entries_is_warned_about():
 
 def test_seed_ranges_and_lists():
     assert bench_pairs.parse_seeds("20-23,3,7") == [20, 21, 22, 23, 3, 7]
+
+
+def checkout(root, files):
+    """A checkout whose ``src/myhpo`` holds ``files``, name -> text."""
+    package = root / "src" / "myhpo"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).write_text(text)
+    return str(root)
+
+
+def test_each_checkouts_src_line_count_is_recorded(tmp_path, monkeypatch):
+    # wc -l counts newlines: "d = 4" without one adds nothing, and the .txt is not counted
+    parent = checkout(tmp_path / "parent", {"a.py": "a = 1\nb = 2\n", "notes.txt": "x\n"})
+    change = checkout(tmp_path / "change", {"a.py": "a = 1\n", "b.py": "b = 2\nc = 3\nd = 4"})
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: {
+        "correct": True, "attempted": 1, "failed": 0, "pool_entries": [0],
+        "metrics": {"us_per_iter": 1.0}})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([parent, change, "--workload", "ls-stability", "--seeds", "0",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["src_lines"] == {"parent": 2, "change": 3}
+    assert doc["summary"]["ls-stability"]["pairs"] == 1

@@ -232,7 +232,10 @@ def test_wrong_trace_columns_exit_code(tmp_path, capsys):
     ("d = 4", "d = 0", "d must be at least 1"),
     ("kappa = 50.0", "train_fraction = 0.9", "train and validation fractions must sum below 1"),
     ("kappa = 50.0", "val_fraction = 0", "fractions must lie in (0, 1)"),
-], ids=["kappa", "noise-std", "n-below-d", "no-feature", "fraction-sum", "fraction-range"])
+    ("kappa = 50.0", "counts = 0,10,10", "split sizes (0, 10, 10) include an empty split"),
+    ("kappa = 50.0", "counts = 10,-1,10", "split sizes (10, -1, 10) include an empty split"),
+], ids=["kappa", "noise-std", "n-below-d", "no-feature", "fraction-sum", "fraction-range",
+        "empty-count", "negative-count"])
 def test_bad_problem_values_exit_before_writing(tmp_path, capsys, old, new, reason):
     text = CONFIG.format(out=tmp_path / "out").replace(f"problem.{old}\n", f"problem.{new}\n")
     bad = write_config(tmp_path, text)

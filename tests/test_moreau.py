@@ -11,6 +11,7 @@ from myhpo.data import SplitSpec, SyntheticSpec, split, synthesize
 from myhpo.model import (
     BestResponse,
     Dataset,
+    DimensionMismatch,
     LossSpec,
     NonFiniteIterate,
     best_response,
@@ -683,6 +684,21 @@ class TestProductReuse:
                                                 MyhpoConfig(variant="full"))
             assert calls["_fit_curvature"] > 0
             assert products == 2 * calls["_lam_direction"] + 1 == per_step
+
+
+@pytest.mark.parametrize("step", [my_step_simplified, my_step_backtracking, my_step_full],
+                         ids=lambda step: step.__name__)
+def test_every_step_refuses_a_wrong_split_or_state_length(step, ls_spec):
+    """A validation split passed as ``train`` raises the role check's
+    ``ValueError``, and a state of the wrong length ``DimensionMismatch``,
+    before any solve."""
+    rng = np.random.default_rng(4)
+    train, val = random_regression(rng, 12, 4), random_regression(rng, 8, 4, role="validation")
+    cfg = MyhpoConfig(variant="full") if step is my_step_full else MyhpoConfig()
+    with pytest.raises(ValueError, match=r"expected a split with role in \('train',\)"):
+        step(MyhpoState.initial(4), ls_spec, val, val, cfg)
+    with pytest.raises(DimensionMismatch, match=r"w has shape \(5,\), expected \(4,\)"):
+        step(MyhpoState.initial(5), ls_spec, train, val, cfg)
 
 
 def same_bits(a: float, b: float) -> bool:

@@ -1,10 +1,12 @@
-"""The demos and the command line, run end to end as separate processes.
+"""The demos, the README quickstart and the command line, run end to end as
+separate processes.
 
 Each runs in its own temporary working directory, where the demos and
 ``myhpo-bench run`` write their outputs.
 """
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,6 +31,17 @@ def test_demo_runs(demo, tmp_path):
     out = _run(tmp_path, demo)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+def test_readme_quickstart_runs(tmp_path):
+    """The ``python`` blocks under "Library quickstart" run as one script."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    out = _run(tmp_path, "-c", "\n".join(blocks))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "True"
 
 
 def test_validate_stability_config(tmp_path):

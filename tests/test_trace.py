@@ -34,7 +34,6 @@ from myhpo.trace import _NONE_BITS, BLOCK, RunTrace, TraceRow, record_run
 from conftest import TRACE_ROW_CELLS, random_regression
 
 SPEC = LossSpec("least_squares")
-STOPS = (SplitDegenerate,)
 
 
 def splits():
@@ -75,7 +74,7 @@ def record(script, offload=False, delay=0.0):
         calls.append(len(W))
         return report_block(SPEC, W, lams, train, val, test)
 
-    trace = record_run(RunTrace("scripted", "scripted", 0), script, report, STOPS, offload)
+    trace = record_run(RunTrace("scripted", "scripted", 0), script, report, offload=offload)
     return trace, calls
 
 
@@ -170,7 +169,7 @@ def test_an_exception_in_the_report_is_raised(offload):
         raise RuntimeError("report failed")
 
     with pytest.raises(RuntimeError, match="report failed"):
-        record_run(RunTrace("scripted", "scripted", 0), script, report, STOPS, offload)
+        record_run(RunTrace("scripted", "scripted", 0), script, report, offload=offload)
     # raised at the join, before the next block is handed off
     assert script.produced == (2 if offload else 1) * BLOCK
 

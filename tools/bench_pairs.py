@@ -27,13 +27,16 @@ median, and not every change run beats every parent run; otherwise
 ``worse`` when ``median_worse_by`` exceeds the bound; otherwise
 ``within_bound``. A pair whose two runs
 covered different pool entries is reported on stderr and listed under
-``warnings``: its metrics average different inputs. An existing output file
-is extended: its runs are kept, and the summary is made over all of them.
+``warnings``: its metrics average different inputs. ``src_lines`` holds
+each checkout's ``src/myhpo`` line count, the ``wc -l src/myhpo/*.py``
+total. An existing output file is extended: its runs are kept, and the
+summary is made over all of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -70,6 +73,15 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "pool_entries": pools[0] if pools else None,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def src_lines(checkout: str) -> int:
+    """The newlines in ``checkout``'s ``src/myhpo/*.py``, as ``wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "myhpo", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -153,6 +165,7 @@ def main(argv=None) -> int:
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     checkouts = {"parent": args.parent, "change": args.change}
+    doc["src_lines"] = {side: src_lines(checkouts[side]) for side in SIDES}
     for workload in args.workload:
         for seed in args.seeds:
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
